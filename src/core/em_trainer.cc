@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 #include "dist/distributed_executor.h"
 #include "obs/metrics.h"
@@ -18,6 +19,34 @@ namespace {
 /// Logical trace row of the trainer itself (the distributed coordinator
 /// uses 1, its workers 100+w; see dist/distributed_executor.cc).
 constexpr int kTrainerTid = 0;
+
+// The logistic regression's two passes over its column-major design matrix
+// x (x[k * n + i] = feature k of example i). The k loops are expanded at
+// compile time so their sums stay in registers; both keep the reference
+// order — the dot w.x runs over k in order, and every grad[k] sums its
+// examples in order.
+template <size_t... K>
+void ComputeResiduals(const double* weights, const double* x, size_t n,
+                      size_t num_pos, size_t begin, size_t end,
+                      double* residual, std::index_sequence<K...>) {
+  const double w_k[] = {weights[K]...};
+  for (size_t i = begin; i < end; ++i) {
+    double w = 0.0;
+    ((w += w_k[K] * x[K * n + i]), ...);
+    residual[i] = (i < num_pos ? 1.0 : 0.0) - Sigmoid(w);
+  }
+}
+
+template <size_t... K>
+void AccumulateGradient(const double* residual, const double* x, size_t n,
+                        double* grad, std::index_sequence<K...>) {
+  double g[] = {(static_cast<void>(K), 0.0)...};
+  for (size_t i = 0; i < n; ++i) {
+    const double r = residual[i];
+    ((g[K] += r * x[K * n + i]), ...);
+  }
+  ((grad[K] = g[K]), ...);
+}
 
 }  // namespace
 
@@ -376,6 +405,19 @@ void EmTrainer::UpdateEta() {
   }
 }
 
+void EmTrainer::ForEachExampleRange(
+    size_t n, const std::function<void(size_t, size_t)>& fn) {
+  if (executor_ == nullptr) {
+    fn(0, n);
+    return;
+  }
+  const size_t shards = static_cast<size_t>(executor_->num_shards());
+  executor_->Dispatch([&](int shard) {
+    const size_t t = static_cast<size_t>(shard);
+    fn(n * t / shards, n * (t + 1) / shards);
+  });
+}
+
 void EmTrainer::TrainDiffusionWeights(Rng* rng) {
   // Fitting Eq. 6's diffusion term is logistic regression over the observed
   // links plus an equal number of sampled negatives (§4.2 M-step).
@@ -384,48 +426,27 @@ void EmTrainer::TrainDiffusionWeights(Rng* rng) {
   const size_t num_pos = links.size();
   if (num_pos == 0 || config_.nu_iterations == 0) return;
 
-  struct Example {
-    double x[kNumDiffusionWeights];
-    double y;
+  // Example endpoints: the observed links (label 1), then the negatives
+  // (label 0) in draw order. `e` indexes the link's cached features.
+  struct Endpoints {
+    UserId u;
+    UserId v;
+    int z;
+    int32_t time;
+    size_t e;
   };
-  std::vector<Example> examples;
-  examples.reserve(num_pos * 2);
-
-  auto fill_example = [&](UserId u, UserId v, int z, int32_t time, size_t e,
-                          double label) {
-    Example ex;
-    ex.y = label;
-    ex.x[kWeightEta] = s.CommunityDiffusionScore(u, v, z);
-    ex.x[kWeightPopularity] =
-        config_.ablation.topic_factor ? s.popularity.Value(time, z) : 0.0;
-    double feats[kNumUserFeatures];
-    if (config_.ablation.individual_factor) {
-      if (e != static_cast<size_t>(-1)) {
-        const auto cached = caches_->Features(e);
-        std::copy(cached.begin(), cached.end(), feats);
-      } else {
-        LinkCaches::ComputePairFeatures(graph_, u, v, feats);
-      }
-    } else {
-      std::fill(feats, feats + kNumUserFeatures, 0.0);
-    }
-    for (int k = 0; k < kNumUserFeatures; ++k) {
-      ex.x[kWeightFeature0 + k] = feats[k];
-    }
-    ex.x[kWeightBias] = 1.0;
-    examples.push_back(ex);
-  };
-
+  std::vector<Endpoints> pairs;
+  pairs.reserve(num_pos * 2);
   for (size_t e = 0; e < num_pos; ++e) {
     const DiffusionLink& link = links[e];
-    const UserId u = graph_.document(link.i).user;
-    const UserId v = graph_.document(link.j).user;
-    const int z = s.doc_topic[static_cast<size_t>(link.i)];
-    fill_example(u, v, z, link.time, e, 1.0);
+    pairs.push_back({graph_.document(link.i).user, graph_.document(link.j).user,
+                     s.doc_topic[static_cast<size_t>(link.i)], link.time, e});
   }
 
   // Negative sampling: uniform random document pairs that are not linked
   // ("we randomly sample the same amount of non-observed diffusion links").
+  // Drawn sequentially, so the trainer's RNG stream does not depend on the
+  // shard count.
   const size_t num_docs = graph_.num_documents();
   size_t drawn = 0;
   size_t attempts = 0;
@@ -437,23 +458,56 @@ void EmTrainer::TrainDiffusionWeights(Rng* rng) {
     const Document& di = graph_.document(i);
     const Document& dj = graph_.document(j);
     if (di.user == dj.user) continue;
-    fill_example(di.user, dj.user, s.doc_topic[static_cast<size_t>(i)], di.time,
-                 static_cast<size_t>(-1), 0.0);
+    pairs.push_back({di.user, dj.user, s.doc_topic[static_cast<size_t>(i)],
+                     di.time, static_cast<size_t>(-1)});
     ++drawn;
   }
 
-  // Full-batch gradient ascent on the regularized log-likelihood.
-  const double n_inv = 1.0 / static_cast<double>(examples.size());
-  for (int iter = 0; iter < config_.nu_iterations; ++iter) {
-    double grad[kNumDiffusionWeights] = {0.0};
-    for (const Example& ex : examples) {
-      double w = 0.0;
-      for (int k = 0; k < kNumDiffusionWeights; ++k) w += s.weights[k] * ex.x[k];
-      const double residual = ex.y - Sigmoid(w);
-      for (int k = 0; k < kNumDiffusionWeights; ++k) {
-        grad[k] += residual * ex.x[k];
+  // Column-major design matrix, x[k * n + i] = feature k of example i. Every
+  // example depends only on its own endpoints, so the fill and the per-
+  // iteration residuals split over the executor's shards without changing
+  // a bit; the gradient is then summed sequentially in example order.
+  const size_t n = pairs.size();
+  std::vector<double> x(static_cast<size_t>(kNumDiffusionWeights) * n);
+  const auto column = [&x, n](int k) {
+    return x.data() + static_cast<size_t>(k) * n;
+  };
+  ForEachExampleRange(n, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Endpoints& p = pairs[i];
+      column(kWeightEta)[i] = s.CommunityDiffusionScore(p.u, p.v, p.z);
+      column(kWeightPopularity)[i] =
+          config_.ablation.topic_factor ? s.popularity.Value(p.time, p.z)
+                                        : 0.0;
+      double feats[kNumUserFeatures];
+      if (config_.ablation.individual_factor) {
+        if (p.e != static_cast<size_t>(-1)) {
+          const auto cached = caches_->Features(p.e);
+          std::copy(cached.begin(), cached.end(), feats);
+        } else {
+          LinkCaches::ComputePairFeatures(graph_, p.u, p.v, feats);
+        }
+      } else {
+        std::fill(feats, feats + kNumUserFeatures, 0.0);
       }
+      for (int k = 0; k < kNumUserFeatures; ++k) {
+        column(kWeightFeature0 + k)[i] = feats[k];
+      }
+      column(kWeightBias)[i] = 1.0;
     }
+  });
+
+  // Full-batch gradient ascent on the regularized log-likelihood.
+  constexpr auto kFeatures = std::make_index_sequence<kNumDiffusionWeights>();
+  std::vector<double> residual(n);
+  const double n_inv = 1.0 / static_cast<double>(n);
+  for (int iter = 0; iter < config_.nu_iterations; ++iter) {
+    ForEachExampleRange(n, [&](size_t begin, size_t end) {
+      ComputeResiduals(s.weights.data(), x.data(), n, num_pos, begin, end,
+                       residual.data(), kFeatures);
+    });
+    double grad[kNumDiffusionWeights];
+    AccumulateGradient(residual.data(), x.data(), n, grad, kFeatures);
     for (int k = 0; k < kNumDiffusionWeights; ++k) {
       // Ablated factors keep their weight pinned at initialization.
       if (k == kWeightPopularity && !config_.ablation.topic_factor) continue;

@@ -9,7 +9,8 @@
 /// the returned CounterDeltas together, applies them to the master, and
 /// runs the Polya-Gamma augmentation over disjoint link ranges. The M-step
 /// re-estimates eta from the merged assignments and fits the factor weights
-/// by logistic regression with negative sampling.
+/// by logistic regression with negative sampling; its per-example work runs
+/// on the same executor, one example range per shard.
 
 #include <cstdint>
 #include <functional>
@@ -138,6 +139,11 @@ class EmTrainer {
  private:
   void UpdateEta();
   void TrainDiffusionWeights(Rng* rng);
+  /// Splits [0, n) into one contiguous range per shard and runs fn(begin,
+  /// end) on each through the executor's Dispatch (inline before the first
+  /// EStep builds the executor). The M-step's per-example work goes here.
+  void ForEachExampleRange(size_t n,
+                           const std::function<void(size_t, size_t)>& fn);
   Status EnsureExecutor();
   /// Dispatches on ResolvedExecutorMode(): the src/dist coordinator for
   /// kDistributed (which can fail to connect), MakeShardExecutor otherwise,

@@ -1,6 +1,5 @@
 #include "core/gibbs_sampler.h"
 
-#include <atomic>
 #include <cmath>
 
 #include "core/state_snapshot.h"
@@ -13,27 +12,13 @@ namespace cpd {
 
 namespace {
 
-// Counter updates: plain in the serial sweep, relaxed atomics in the
-// parallel sweep (benign-staleness reads, AD-LDA style).
-inline void Add32(int32_t* x, int32_t d, bool concurrent) {
-  if (concurrent) {
-    std::atomic_ref<int32_t>(*x).fetch_add(d, std::memory_order_relaxed);
-  } else {
-    *x += d;
-  }
+// sum_c q[c] * row[c], accumulated in c order (every candidate-independent
+// link dot of the community kernels uses this order).
+inline double DotInOrder(const double* q, const double* row, int kc) {
+  double dot = 0.0;
+  for (int c = 0; c < kc; ++c) dot += q[c] * row[c];
+  return dot;
 }
-
-inline void Add64(int64_t* x, int64_t d, bool concurrent) {
-  if (concurrent) {
-    std::atomic_ref<int64_t>(*x).fetch_add(d, std::memory_order_relaxed);
-  } else {
-    *x += d;
-  }
-}
-
-}  // namespace
-
-namespace {
 
 // Shared body of the two Rebuild overloads: (re)builds the per-community
 // and per-word alias tables from raw count arrays.
@@ -153,84 +138,66 @@ double GibbsSampler::LinkLogLikelihood() const {
 }
 
 void GibbsSampler::RemoveDocTopicCounts(const Document& doc, int32_t c,
-                                        int32_t z, bool concurrent) {
+                                        int32_t z) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
   const size_t vocab = s.vocab_size;
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], -1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], -1, concurrent);
+  --s.n_cz[static_cast<size_t>(c) * kz + z];
+  --s.n_c[static_cast<size_t>(c)];
   for (WordId w : doc.words) {
-    Add32(&s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)], -1,
-          concurrent);
+    --s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)];
   }
-  Add64(&s.n_z[static_cast<size_t>(z)],
-        -static_cast<int64_t>(doc.words.size()), concurrent);
+  s.n_z[static_cast<size_t>(z)] -= static_cast<int64_t>(doc.words.size());
 }
 
-void GibbsSampler::AddDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                                     bool concurrent) {
+void GibbsSampler::AddDocTopicCounts(const Document& doc, int32_t c,
+                                     int32_t z) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
   const size_t vocab = s.vocab_size;
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], 1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], 1, concurrent);
+  ++s.n_cz[static_cast<size_t>(c) * kz + z];
+  ++s.n_c[static_cast<size_t>(c)];
   for (WordId w : doc.words) {
-    Add32(&s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)], 1,
-          concurrent);
+    ++s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(w)];
   }
-  Add64(&s.n_z[static_cast<size_t>(z)], static_cast<int64_t>(doc.words.size()),
-        concurrent);
+  s.n_z[static_cast<size_t>(z)] += static_cast<int64_t>(doc.words.size());
 }
 
-void GibbsSampler::RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                            bool concurrent) {
+void GibbsSampler::RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
-  const int kc = s.num_communities;
-  if (concurrent) {
-    // The n_uc row cache is not thread-safe; concurrent relaxed-atomic
-    // sweeps bypass it (and never consult it in the kernels).
-    Add32(&s.n_uc[static_cast<size_t>(u) * kc + c], -1, concurrent);
-  } else {
-    s.BumpUserCommunity(u, c, -1);
-  }
-  Add32(&s.n_u[static_cast<size_t>(u)], -1, concurrent);
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], -1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], -1, concurrent);
+  s.BumpUserCommunity(u, c, -1);
+  --s.n_u[static_cast<size_t>(u)];
+  --s.n_cz[static_cast<size_t>(c) * kz + z];
+  --s.n_c[static_cast<size_t>(c)];
 }
 
-void GibbsSampler::AddDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                         bool concurrent) {
+void GibbsSampler::AddDocCommunityCounts(UserId u, int32_t c, int32_t z) {
   ModelState& s = *state_;
   const int kz = s.num_topics;
-  const int kc = s.num_communities;
-  if (concurrent) {
-    Add32(&s.n_uc[static_cast<size_t>(u) * kc + c], 1, concurrent);
-  } else {
-    s.BumpUserCommunity(u, c, 1);
-  }
-  Add32(&s.n_u[static_cast<size_t>(u)], 1, concurrent);
-  Add32(&s.n_cz[static_cast<size_t>(c) * kz + z], 1, concurrent);
-  Add32(&s.n_c[static_cast<size_t>(c)], 1, concurrent);
+  s.BumpUserCommunity(u, c, 1);
+  ++s.n_u[static_cast<size_t>(u)];
+  ++s.n_cz[static_cast<size_t>(c) * kz + z];
+  ++s.n_c[static_cast<size_t>(c)];
 }
 
-void GibbsSampler::ResampleTopic(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleTopic(DocId d, Rng* rng) {
   if (config_.sampler_mode == SamplerMode::kSparse) {
-    ResampleTopicSparse(d, concurrent, rng);
+    ResampleTopicSparse(d, rng);
   } else {
-    ResampleTopicDense(d, concurrent, rng);
+    ResampleTopicDense(d, rng);
   }
 }
 
-void GibbsSampler::ResampleCommunity(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleCommunity(DocId d, Rng* rng) {
   if (config_.sampler_mode == SamplerMode::kSparse) {
-    ResampleCommunitySparse(d, concurrent, rng);
+    ResampleCommunitySparse(d, rng);
   } else {
-    ResampleCommunityDense(d, concurrent, rng);
+    ResampleCommunityDense(d, rng);
   }
 }
 
-void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleTopicDense(DocId d, Rng* rng) {
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
   const UserId u = doc.user;
@@ -241,7 +208,7 @@ void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
   const size_t len = doc.words.size();
 
   // Exclude the document: topic-side counters only (community unchanged).
-  RemoveDocTopicCounts(doc, c, z_old, concurrent);
+  RemoveDocTopicCounts(doc, c, z_old);
 
   static thread_local std::vector<double> logw;
   logw.assign(static_cast<size_t>(kz), 0.0);
@@ -292,7 +259,7 @@ void GibbsSampler::ResampleTopicDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t z_new =
       static_cast<int32_t>(SampleCategoricalFromLog(logw, rng));
   s.doc_topic[static_cast<size_t>(d)] = z_new;
-  AddDocTopicCounts(doc, c, z_new, concurrent);
+  AddDocTopicCounts(doc, c, z_new);
 }
 
 double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
@@ -338,13 +305,11 @@ double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
   return lw;
 }
 
-void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleTopicSparse(DocId d, Rng* rng) {
   if (!active_tables().ready()) {
-    // Lazy init is inherently serial; a concurrent caller that skipped
-    // RebuildSparseTables() would race the table construction, and an
-    // executor sharing external tables must rebuild them before the sweep —
-    // fail loudly instead of corrupting memory.
-    CPD_CHECK(!concurrent && external_tables_ == nullptr);
+    // An executor sharing external tables must rebuild them before the
+    // sweep — fail loudly instead of sampling from empty tables.
+    CPD_CHECK(external_tables_ == nullptr);
     RebuildSparseTables();
   }
   const SparseSamplerTables& tables = active_tables();
@@ -354,7 +319,7 @@ void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
   const int32_t z_old = s.doc_topic[static_cast<size_t>(d)];
   const size_t len = doc.words.size();
 
-  RemoveDocTopicCounts(doc, c, z_old, concurrent);
+  RemoveDocTopicCounts(doc, c, z_old);
 
   // MH chain targeting the exact conditional, started at the current
   // assignment. Cycle proposals: even steps draw from the community-prior
@@ -389,28 +354,45 @@ void GibbsSampler::ResampleTopicSparse(DocId d, bool concurrent, Rng* rng) {
       ++accepts;
     }
   }
-  topic_proposals_.fetch_add(proposals, std::memory_order_relaxed);
-  topic_accepts_.fetch_add(accepts, std::memory_order_relaxed);
+  mh_.topic_proposals += proposals;
+  mh_.topic_accepts += accepts;
 
   s.doc_topic[static_cast<size_t>(d)] = z_cur;
-  AddDocTopicCounts(doc, c, z_cur, concurrent);
+  AddDocTopicCounts(doc, c, z_cur);
 }
 
-double GibbsSampler::FillMembershipVector(UserId other, const double* q,
-                                          double* out) const {
+void GibbsSampler::FillPiHatRow(UserId other, double* out) const {
   const ModelState& s = *state_;
   const int kc = s.num_communities;
   const double other_denom =
       static_cast<double>(s.n_u[static_cast<size_t>(other)]) +
       static_cast<double>(kc) * s.rho;
-  double base = 0.0;
   for (int c = 0; c < kc; ++c) {
     out[c] = (static_cast<double>(s.n_uc[static_cast<size_t>(other) * kc + c]) +
               s.rho) /
              other_denom;
-    base += q[c] * out[c];
   }
-  return base;
+}
+
+double GibbsSampler::FillMembershipVector(UserId other, const double* q,
+                                          double* out) const {
+  FillPiHatRow(other, out);
+  return DotInOrder(q, out, state_->num_communities);
+}
+
+void GibbsSampler::BuildFriendEvaluators(UserId u) {
+  const int kc = state_->num_communities;
+  const auto links = caches_.FriendLinksOf(u);
+  friend_lambda_.resize(links.size());
+  friend_rows_.resize(links.size() * static_cast<size_t>(kc));
+  for (size_t i = 0; i < links.size(); ++i) {
+    const auto f_idx = static_cast<size_t>(links[i]);
+    const FriendshipLink& fl = graph_.friendship_links()[f_idx];
+    FillPiHatRow(fl.u == u ? fl.v : fl.u,
+                 friend_rows_.data() + i * static_cast<size_t>(kc));
+    friend_lambda_[i] = state_->lambda[f_idx];
+  }
+  friend_evals_user_ = u;
 }
 
 void GibbsSampler::ComputeEtaCollapse(UserId other, int z_e, bool is_source,
@@ -420,14 +402,8 @@ void GibbsSampler::ComputeEtaCollapse(UserId other, int z_e, bool is_source,
   static thread_local std::vector<double> pio, th;
   pio.resize(static_cast<size_t>(kc));
   th.resize(static_cast<size_t>(kc));
-  const double other_denom =
-      static_cast<double>(s.n_u[static_cast<size_t>(other)]) +
-      static_cast<double>(kc) * s.rho;
+  FillPiHatRow(other, pio.data());
   for (int c = 0; c < kc; ++c) {
-    pio[static_cast<size_t>(c)] =
-        (static_cast<double>(s.n_uc[static_cast<size_t>(other) * kc + c]) +
-         s.rho) /
-        other_denom;
     th[static_cast<size_t>(c)] = s.ThetaHat(c, z_e);
   }
   // a[c] collapses the fixed endpoint so each candidate costs O(1):
@@ -497,7 +473,7 @@ const double* GibbsSampler::CollapsedEtaVector(UserId other, int z_e,
   return collapse_vectors_.data() + offset;
 }
 
-void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleCommunityDense(DocId d, Rng* rng) {
   if (freeze_communities_) return;
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
@@ -508,7 +484,7 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t c_old = s.doc_community[static_cast<size_t>(d)];
 
   // Exclude the document: community-side counters.
-  RemoveDocCommunityCounts(u, c_old, z, concurrent);
+  RemoveDocCommunityCounts(u, c_old, z);
 
   static thread_local std::vector<double> logw, q, pio;
   logw.assign(static_cast<size_t>(kc), 0.0);
@@ -593,10 +569,10 @@ void GibbsSampler::ResampleCommunityDense(DocId d, bool concurrent, Rng* rng) {
   const int32_t c_new =
       static_cast<int32_t>(SampleCategoricalFromLog(logw, rng));
   s.doc_community[static_cast<size_t>(d)] = c_new;
-  AddDocCommunityCounts(u, c_new, z, concurrent);
+  AddDocCommunityCounts(u, c_new, z);
 }
 
-void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
+void GibbsSampler::ResampleCommunitySparse(DocId d, Rng* rng) {
   if (freeze_communities_) return;
   ModelState& s = *state_;
   const Document& doc = graph_.document(d);
@@ -606,23 +582,16 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
   const int32_t z = s.doc_topic[static_cast<size_t>(d)];
   const int32_t c_old = s.doc_community[static_cast<size_t>(d)];
 
-  RemoveDocCommunityCounts(u, c_old, z, concurrent);
+  RemoveDocCommunityCounts(u, c_old, z);
 
   // The conditional factors as  p(c) ∝ (n_uc[u][c] + rho) * R(c)  where R
   // collects the content term and the link psi terms. We propose directly
   // from the *fresh* prior factor — its sparse part is the user's nonzero
   // community row, its dense part is the flat rho mass — so the MH ratio
   // reduces to R(c_prop) / R(c_cur): no O(|C|) log/exp scan anywhere.
-  // Shard-local sweeps read the write-through row cache (O(k_u) after the
-  // user's first document); concurrent sweeps fall back to the fresh scan.
-  static thread_local std::vector<SparseCount> nonzero_scratch;
-  std::span<const SparseCount> nonzero;
-  if (concurrent) {
-    s.NonzeroUserCommunities(u, &nonzero_scratch);
-    nonzero = nonzero_scratch;
-  } else {
-    nonzero = s.UserCommunityRow(u);
-  }
+  // The sweep reads the write-through row cache (O(k_u) after the user's
+  // first document).
+  const std::span<const SparseCount> nonzero = s.UserCommunityRow(u);
   const double sparse_mass = static_cast<double>(s.n_u[static_cast<size_t>(u)]);
   const double rho_mass = static_cast<double>(kc) * s.rho;
   const double denom_pi = sparse_mass + 1.0 + rho_mass;
@@ -635,13 +604,26 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
         static_cast<double>(s.n_uc[static_cast<size_t>(u) * kc + c]) + s.rho;
   }
 
-  // Per-link candidate evaluators, precomputed once per document so each MH
-  // candidate costs O(1) per link afterwards. `vec` holds the link's
-  // candidate-indexed array (pio for membership-dot links, the collapsed a[]
-  // for heterogeneous diffusion links) in one flat buffer.
+  // Friendship links: the friends' pihat rows and lambdas were built once
+  // for this user (BuildFriendEvaluators); only the candidate-independent
+  // dot with the current q is per-document.
+  CPD_DCHECK(!config_.ablation.model_friendship || friend_evals_user_ == u);
+  const size_t num_friends = friend_lambda_.size();
+  friend_base_.resize(num_friends);
+  for (size_t i = 0; i < num_friends; ++i) {
+    friend_base_[i] =
+        DotInOrder(q.data(), friend_rows_.data() + i * static_cast<size_t>(kc),
+                   kc);
+  }
+
+  // Per-link candidate evaluators of the document's diffusion links,
+  // precomputed once per document so each MH candidate costs O(1) per link
+  // afterwards. `vec` holds the link's candidate-indexed array (pio for
+  // membership-dot links, the collapsed a[] for heterogeneous diffusion
+  // links) in one flat buffer.
   struct LinkEval {
     double base = 0.0;       // Candidate-independent part of the dot.
-    double aug = 0.0;        // Polya-Gamma variable (lambda or delta).
+    double aug = 0.0;        // Polya-Gamma variable (delta).
     double const_part = 0.0; // Non-community energy terms (kind 1 only).
     double w_eta = 1.0;      // Eta weight (kind 1 only).
     size_t vec_offset = 0;   // Offset of this link's C-vector in `vecs`.
@@ -660,15 +642,6 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
     ev.base = FillMembershipVector(other, q.data(), vecs.data() + ev.vec_offset);
     links.push_back(ev);
   };
-
-  if (config_.ablation.model_friendship) {
-    for (int32_t f_idx : caches_.FriendLinksOf(u)) {
-      const FriendshipLink& fl =
-          graph_.friendship_links()[static_cast<size_t>(f_idx)];
-      const UserId other = (fl.u == u) ? fl.v : fl.u;
-      push_membership_link(other, s.lambda[static_cast<size_t>(f_idx)]);
-    }
-  }
 
   if (config_.ablation.model_diffusion && community_uses_diffusion_) {
     for (int32_t e_idx : graph_.DiffusionNeighbors(d)) {
@@ -719,6 +692,13 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
             std::log(static_cast<double>(s.n_c[static_cast<size_t>(cand)]) +
                      z_alpha);
     }
+    for (size_t i = 0; i < num_friends; ++i) {
+      const double val =
+          (friend_base_[i] +
+           friend_rows_[i * static_cast<size_t>(kc) + static_cast<size_t>(cand)]) /
+          denom_pi;
+      lw += LogPsi(val, friend_lambda_[i]);
+    }
     for (const LinkEval& ev : links) {
       const double val =
           (ev.base + vecs[ev.vec_offset + static_cast<size_t>(cand)]) / denom_pi;
@@ -763,55 +743,45 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng) {
       ++accepts;
     }
   }
-  community_proposals_.fetch_add(proposals, std::memory_order_relaxed);
-  community_accepts_.fetch_add(accepts, std::memory_order_relaxed);
+  mh_.community_proposals += proposals;
+  mh_.community_accepts += accepts;
 
   s.doc_community[static_cast<size_t>(d)] = c_cur;
-  AddDocCommunityCounts(u, c_cur, z, concurrent);
+  AddDocCommunityCounts(u, c_cur, z);
 }
 
 void GibbsSampler::RebuildSparseTables(ThreadPool* pool) {
   tables_.Rebuild(*state_, pool);
 }
 
-MhStats GibbsSampler::mh_stats() const {
-  MhStats stats;
-  stats.topic_proposals = topic_proposals_.load(std::memory_order_relaxed);
-  stats.topic_accepts = topic_accepts_.load(std::memory_order_relaxed);
-  stats.community_proposals =
-      community_proposals_.load(std::memory_order_relaxed);
-  stats.community_accepts = community_accepts_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void GibbsSampler::ResetMhStats() {
-  topic_proposals_.store(0, std::memory_order_relaxed);
-  topic_accepts_.store(0, std::memory_order_relaxed);
-  community_proposals_.store(0, std::memory_order_relaxed);
-  community_accepts_.store(0, std::memory_order_relaxed);
-}
-
 void GibbsSampler::AccumulateMhStats(const MhStats& stats) {
-  topic_proposals_.fetch_add(stats.topic_proposals, std::memory_order_relaxed);
-  topic_accepts_.fetch_add(stats.topic_accepts, std::memory_order_relaxed);
-  community_proposals_.fetch_add(stats.community_proposals,
-                                 std::memory_order_relaxed);
-  community_accepts_.fetch_add(stats.community_accepts,
-                               std::memory_order_relaxed);
+  mh_.topic_proposals += stats.topic_proposals;
+  mh_.topic_accepts += stats.topic_accepts;
+  mh_.community_proposals += stats.community_proposals;
+  mh_.community_accepts += stats.community_accepts;
 }
 
 // The collapse memo requires (a) a sampler driven by a single thread for
-// the whole sweep — shard-local or serial sweeps; legacy concurrent callers
-// share the sampler across threads, so the memo members must not even be
-// touched there — and (b) tolerance for within-sweep staleness: the memo
-// feeds the community kernel's MH target, so the staleness is an
-// uncorrected AD-LDA-class approximation, acceptable for the sparse
-// backend but not for the dense exact-reference path.
+// the whole sweep — shard-local or serial sweeps — and (b) tolerance for
+// within-sweep staleness: the memo feeds the community kernel's MH target,
+// so the staleness is an uncorrected AD-LDA-class approximation, acceptable
+// for the sparse backend but not for the dense exact-reference path.
 void GibbsSampler::BeginCollapseMemoSweep() {
   collapse_cache_active_ = config_.cache_eta_collapse &&
                            config_.sampler_mode == SamplerMode::kSparse;
   collapse_index_.clear();
   collapse_vectors_.clear();
+}
+
+void GibbsSampler::SweepUser(UserId u, Rng* rng) {
+  if (config_.sampler_mode == SamplerMode::kSparse &&
+      config_.ablation.model_friendship && !freeze_communities_) {
+    BuildFriendEvaluators(u);
+  }
+  for (DocId d : graph_.DocumentsOf(u)) {
+    ResampleTopic(d, rng);
+    ResampleCommunity(d, rng);
+  }
 }
 
 void GibbsSampler::SweepDocuments(Rng* rng) {
@@ -824,27 +794,16 @@ void GibbsSampler::SweepDocuments(Rng* rng) {
   // direct mutation); rebuild the n_uc row cache lazily from scratch.
   state_->InvalidateUserCommunityRows();
   for (size_t u = 0; u < graph_.num_users(); ++u) {
-    for (DocId d : graph_.DocumentsOf(static_cast<UserId>(u))) {
-      ResampleTopic(d, /*concurrent=*/false, rng);
-      ResampleCommunity(d, /*concurrent=*/false, rng);
-    }
+    SweepUser(static_cast<UserId>(u), rng);
   }
   collapse_cache_active_ = false;
 }
 
-void GibbsSampler::SweepUsers(std::span<const UserId> users, bool concurrent,
-                              Rng* rng) {
-  if (!concurrent) {
-    BeginCollapseMemoSweep();
-    state_->InvalidateUserCommunityRows(users);
-  }
-  for (UserId u : users) {
-    for (DocId d : graph_.DocumentsOf(u)) {
-      ResampleTopic(d, concurrent, rng);
-      ResampleCommunity(d, concurrent, rng);
-    }
-  }
-  if (!concurrent) collapse_cache_active_ = false;
+void GibbsSampler::SweepUsers(std::span<const UserId> users, Rng* rng) {
+  BeginCollapseMemoSweep();
+  state_->InvalidateUserCommunityRows(users);
+  for (UserId u : users) SweepUser(u, rng);
+  collapse_cache_active_ = false;
 }
 
 void GibbsSampler::SweepFriendshipAugmentation(Rng* rng) {

@@ -5,10 +5,9 @@
 /// Collapsed Gibbs sampler with Polya-Gamma augmentation for CPD
 /// (paper §4.1, Eqs. 13-16). The same kernels serve the serial E-step and
 /// the shard-local snapshot/delta E-step of §4.3: each shard executor binds
-/// one sampler to a private working ModelState and sweeps it single-threaded
-/// (`concurrent = false`), so the trainer path needs no atomics. The
-/// `concurrent = true` mode (relaxed-atomic counter updates over one shared
-/// state, AD-LDA style) remains for direct embedders of the sampler.
+/// one sampler to a private working ModelState and sweeps it on one thread,
+/// so no counter update needs an atomic. A sampler and its state are never
+/// shared between threads during a sweep.
 ///
 /// Two interchangeable E-step backends (CpdConfig::sampler_mode):
 ///  - kDense: exact conditional scan over every candidate topic/community in
@@ -22,7 +21,6 @@
 ///    document is O(len + links) per MH step instead of O(|Z| * len) /
 ///    O(|C| * links); the stationary distribution is identical.
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -115,10 +113,10 @@ class GibbsSampler {
   /// steps 4-6). In sparse mode the alias tables are rebuilt at sweep start.
   void SweepDocuments(Rng* rng);
 
-  /// Sweeps only the documents of the given users (one parallel segment).
-  /// In sparse mode the caller must RebuildSparseTables() once per sweep
-  /// before fanning out segments (the tables are shared and read-only).
-  void SweepUsers(std::span<const UserId> users, bool concurrent, Rng* rng);
+  /// Sweeps only the documents of the given users (one shard's segment).
+  /// With external sparse tables the owner must rebuild them before the
+  /// sweep; the internal tables are built lazily on first use.
+  void SweepUsers(std::span<const UserId> users, Rng* rng);
 
   /// Resamples every lambda_uv ~ PG(1, pihat_u . pihat_v) (Eq. 15),
   /// optionally restricted to a range of link indices [begin, end).
@@ -129,16 +127,6 @@ class GibbsSampler {
   /// to a range of link indices.
   void SweepDiffusionAugmentation(Rng* rng);
   void SweepDiffusionAugmentation(size_t begin, size_t end, Rng* rng);
-
-  /// Per-document kernels (exposed for tests). Dispatch on
-  /// config.sampler_mode; the *Dense/*Sparse variants are also exposed so
-  /// the equivalence tests can drive both paths on one state.
-  void ResampleTopic(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunity(DocId d, bool concurrent, Rng* rng);
-  void ResampleTopicDense(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunityDense(DocId d, bool concurrent, Rng* rng);
-  void ResampleTopicSparse(DocId d, bool concurrent, Rng* rng);
-  void ResampleCommunitySparse(DocId d, bool concurrent, Rng* rng);
 
   /// Sparse mode: rebuilds the stale alias proposal tables from the current
   /// counts (no-op work but cheap in dense mode — tables are simply unused).
@@ -166,8 +154,8 @@ class GibbsSampler {
   }
 
   /// Snapshot / reset of the MH acceptance counters (sparse mode only).
-  MhStats mh_stats() const;
-  void ResetMhStats();
+  MhStats mh_stats() const { return mh_; }
+  void ResetMhStats() { mh_ = MhStats(); }
 
   /// Adds externally accumulated counters into this sampler's totals. The
   /// trainer folds its shard samplers' MH stats into the master sampler
@@ -197,6 +185,20 @@ class GibbsSampler {
   bool community_uses_diffusion() const { return community_uses_diffusion_; }
 
  private:
+  /// Resamples z then c for every document of user u. In sparse mode it
+  /// first builds u's friendship evaluators (BuildFriendEvaluators).
+  void SweepUser(UserId u, Rng* rng);
+
+  /// Per-document kernels, dispatching on config.sampler_mode. Only
+  /// SweepUser calls them: the sparse community kernel reads the friendship
+  /// evaluators SweepUser built for the document's user.
+  void ResampleTopic(DocId d, Rng* rng);
+  void ResampleCommunity(DocId d, Rng* rng);
+  void ResampleTopicDense(DocId d, Rng* rng);
+  void ResampleCommunityDense(DocId d, Rng* rng);
+  void ResampleTopicSparse(DocId d, Rng* rng);
+  void ResampleCommunitySparse(DocId d, Rng* rng);
+
   /// log psi(w, x) = w/2 - x w^2 / 2 (the PG mixture kernel, Eq. 7).
   static double LogPsi(double w, double x) { return 0.5 * w - 0.5 * x * w * w; }
 
@@ -208,13 +210,10 @@ class GibbsSampler {
   /// Shared counter bookkeeping: removes/adds one document's contribution to
   /// the topic-side (n_cz, n_c, n_zw, n_z) or community-side (n_uc, n_u,
   /// n_cz, n_c) counters.
-  void RemoveDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                            bool concurrent);
-  void AddDocTopicCounts(const Document& doc, int32_t c, int32_t z,
-                         bool concurrent);
-  void RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z,
-                                bool concurrent);
-  void AddDocCommunityCounts(UserId u, int32_t c, int32_t z, bool concurrent);
+  void RemoveDocTopicCounts(const Document& doc, int32_t c, int32_t z);
+  void AddDocTopicCounts(const Document& doc, int32_t c, int32_t z);
+  void RemoveDocCommunityCounts(UserId u, int32_t c, int32_t z);
+  void AddDocCommunityCounts(UserId u, int32_t c, int32_t z);
 
   /// Exact (current-counts) unnormalized log conditional of topic z for
   /// document d in community c — the MH target of the sparse topic kernel.
@@ -231,6 +230,18 @@ class GibbsSampler {
   double FillMembershipVector(UserId other, const double* q,
                               double* out) const;
 
+  /// out[c] = pihat_{other,c} at the current counts.
+  void FillPiHatRow(UserId other, double* out) const;
+
+  /// Sparse mode, once per user before the user's documents are swept:
+  /// fills friend_rows_/friend_lambda_ with every incident friendship
+  /// link's neighbor pihat row and lambda. Valid for all of u's documents
+  /// because the sweep over them changes only n_uc[u]/n_u[u] among the
+  /// membership counts, friendship links are never self-loops (the graph
+  /// builder drops them), and lambda changes only in the augmentation
+  /// phase between sweeps.
+  void BuildFriendEvaluators(UserId u);
+
   /// Heterogeneous diffusion links: computes the eta endpoint collapse
   ///   source side: out[c]  = th[c]  sum_c' eta[c][c'][z_e] th[c'] pio[c']
   ///   target side: out[c'] = th[c'] sum_c  eta[c][c'][z_e] th[c]  pio[c]
@@ -245,7 +256,7 @@ class GibbsSampler {
   /// pointer (|C| doubles) is valid until the next call. Cached values go
   /// stale as the sweep moves counts and the staleness is NOT MH-corrected
   /// (it enters the MH target) — an AD-LDA-class approximation, so the
-  /// memo is only active inside non-concurrent *sparse* sweeps with
+  /// memo is only active inside *sparse* sweeps with
   /// config.cache_eta_collapse set; dense kernels and direct calls always
   /// get a fresh exact computation.
   const double* CollapsedEtaVector(UserId other, int z_e, bool is_source);
@@ -279,10 +290,15 @@ class GibbsSampler {
   int64_t collapse_hits_ = 0;
   int64_t collapse_misses_ = 0;
 
-  std::atomic<int64_t> topic_proposals_{0};
-  std::atomic<int64_t> topic_accepts_{0};
-  std::atomic<int64_t> community_proposals_{0};
-  std::atomic<int64_t> community_accepts_{0};
+  // Friendship evaluators of the user being swept (BuildFriendEvaluators):
+  // one |C|-row per incident link, row-major, plus the link's lambda, and
+  // the per-document dots of those rows with the user's current q.
+  UserId friend_evals_user_ = -1;
+  std::vector<double> friend_rows_;
+  std::vector<double> friend_lambda_;
+  std::vector<double> friend_base_;
+
+  MhStats mh_;
 
   bool freeze_communities_ = false;
   bool community_uses_content_ = true;

@@ -60,16 +60,6 @@ ModelState::ModelState(const SocialGraph& graph, const CpdConfig& config)
   }
 }
 
-void ModelState::NonzeroUserCommunities(UserId u,
-                                        std::vector<SparseCount>* out) const {
-  out->clear();
-  const size_t base = static_cast<size_t>(u) * static_cast<size_t>(num_communities);
-  for (int c = 0; c < num_communities; ++c) {
-    const int32_t count = n_uc[base + static_cast<size_t>(c)];
-    if (count != 0) out->push_back({c, count});
-  }
-}
-
 std::span<const SparseCount> ModelState::UserCommunityRow(UserId u) {
   if (uc_row_valid.empty()) {
     uc_row_cache.resize(num_users);
@@ -175,13 +165,21 @@ double ModelState::CommunityDiffusionScore(UserId u, UserId v, int z) const {
   // sum_c sum_c' pihat_{u,c} thetahat_{c,z} eta_{c,c',z} thetahat_{c',z}
   //              pihat_{v,c'}  (Eq. 4, step 2).
   const int kc = num_communities;
+  static thread_local std::vector<double> th, pv;
+  th.resize(static_cast<size_t>(kc));
+  pv.resize(static_cast<size_t>(kc));
+  for (int c = 0; c < kc; ++c) {
+    th[static_cast<size_t>(c)] = ThetaHat(c, z);
+    pv[static_cast<size_t>(c)] = PiHat(v, c);
+  }
   double score = 0.0;
   for (int c = 0; c < kc; ++c) {
-    const double left = PiHat(u, c) * ThetaHat(c, z);
+    const double left = PiHat(u, c) * th[static_cast<size_t>(c)];
     if (left == 0.0) continue;
     double inner = 0.0;
     for (int c2 = 0; c2 < kc; ++c2) {
-      inner += EtaAt(c, c2, z) * ThetaHat(c2, z) * PiHat(v, c2);
+      inner += EtaAt(c, c2, z) * th[static_cast<size_t>(c2)] *
+               pv[static_cast<size_t>(c2)];
     }
     score += left * inner;
   }

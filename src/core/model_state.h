@@ -94,25 +94,19 @@ struct ModelState {
   /// Per-document word histograms (immutable once built).
   DocWordView doc_words;
 
-  /// Appends the nonzero entries of user u's community row n_uc[u][.] to
-  /// *out* (cleared first). A plain row scan: the point is to hand the
-  /// sparse sampler the k_u << |C| support of the prior proposal without any
-  /// log/exp work, not to beat O(|C|) memory traffic.
-  void NonzeroUserCommunities(UserId u, std::vector<SparseCount>* out) const;
-
-  /// Cached variant of NonzeroUserCommunities: the row is scanned once and
-  /// then patched incrementally by BumpUserCommunity, so a user's later
-  /// documents in the same sweep pay O(k_u) instead of O(|C|). The view is
-  /// valid until the next BumpUserCommunity/invalidation for this user; the
-  /// entry order is scan order plus appended re-entries (any order is a
-  /// correct categorical support, and the order is deterministic). Not
-  /// thread-safe: only single-threaded (shard-local) sweeps may use it —
-  /// concurrent relaxed-atomic sweeps must stay on the scan variant.
+  /// The nonzero entries of user u's community row n_uc[u][.]: the k_u <<
+  /// |C| support of the sparse sampler's prior proposal. The row is scanned
+  /// once and then patched incrementally by BumpUserCommunity, so a user's
+  /// later documents in the same sweep pay O(k_u) instead of O(|C|). The
+  /// view is valid until the next BumpUserCommunity/invalidation for this
+  /// user; the entry order is scan order plus appended re-entries (any
+  /// order is a correct categorical support, and the order is
+  /// deterministic). Not thread-safe: a state is swept by one thread.
   std::span<const SparseCount> UserCommunityRow(UserId u);
 
   /// Write-through n_uc update: adjusts the counter and, if user u's cached
   /// row is live, patches it in place (erasing emptied entries, appending
-  /// new ones). Every non-concurrent n_uc mutation must go through here;
+  /// new ones). Every sampler n_uc mutation must go through here;
   /// bulk writers (RebuildCounts, snapshot restore, delta apply) instead
   /// invalidate the affected rows.
   void BumpUserCommunity(UserId u, int32_t c, int32_t delta);
@@ -196,6 +190,8 @@ struct ModelState {
 
   /// The community-factor score S_eta = c_bar_ij^T eta_bar (Eq. 4) for users
   /// u (diffusing) and v (diffused) on topic z, under current estimates.
+  /// ThetaHat(., z) and PiHat(v, .) are computed once into |C|-arrays, so a
+  /// call costs |C|^2 multiply-adds plus O(|C|) divisions.
   double CommunityDiffusionScore(UserId u, UserId v, int z) const;
 };
 

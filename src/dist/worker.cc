@@ -161,7 +161,7 @@ Status Serve(int fd, const WorkerHooks& hooks) {
               session.flags.community_uses_content);
           session.sampler.set_community_uses_diffusion(
               session.flags.community_uses_diffusion);
-          session.sampler.SweepUsers(users, /*concurrent=*/false, &rng);
+          session.sampler.SweepUsers(users, &rng);
           const SocialGraph& graph = session.setup.graph;
           for (UserId u : users) {
             for (DocId d : graph.DocumentsOf(u)) {

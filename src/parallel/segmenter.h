@@ -24,6 +24,13 @@ struct DataSegment {
 /// Per-item processing-cost estimates (relative units). The trainer measures
 /// a serial sweep to calibrate the absolute scale; only ratios matter for
 /// allocation.
+///
+/// The sparse community kernel builds a user's friend pihat rows once per
+/// user; per document it pays one dot per friend plus the MH candidate
+/// terms. per_friend_link nevertheless stays a per-document charge: the
+/// shard plan decides which users share an RNG stream, so new constants
+/// would change every multi-shard chain. Keep them until a change is
+/// allowed to move the chains.
 struct WorkloadCostModel {
   double per_document = 1.0;
   double per_word = 0.1;

@@ -122,10 +122,6 @@ class ShardExecutorBase : public ShardExecutor {
     uint64_t params_version = 0;
   };
 
-  /// Runs fn(shard) for every shard. At most `max_concurrency` invocations
-  /// may be in flight at once (that bound sizes the slot pool).
-  virtual void Dispatch(const std::function<void(int)>& fn) = 0;
-
   /// Exclusive checkout of a working set for one shard's sweep. Acquire
   /// never blocks: the dispatch concurrency bound guarantees a free slot.
   virtual Slot* AcquireSlot() = 0;
@@ -152,8 +148,7 @@ class ShardExecutorBase : public ShardExecutor {
     slot->sampler.set_freeze_communities(flags.freeze_communities);
     slot->sampler.set_community_uses_content(flags.community_uses_content);
     slot->sampler.set_community_uses_diffusion(flags.community_uses_diffusion);
-    slot->sampler.SweepUsers(users, /*concurrent=*/false,
-                             &rngs_[static_cast<size_t>(shard)]);
+    slot->sampler.SweepUsers(users, &rngs_[static_cast<size_t>(shard)]);
     for (UserId u : users) {
       for (DocId d : graph_.DocumentsOf(u)) {
         const size_t di = static_cast<size_t>(d);
@@ -185,9 +180,6 @@ class SerialExecutor final : public ShardExecutorBase {
   const char* name() const override { return "serial"; }
 
  protected:
-  void Dispatch(const std::function<void(int)>& fn) override {
-    for (int s = 0; s < num_shards(); ++s) fn(s);
-  }
   Slot* AcquireSlot() override { return slots_[0].get(); }
   void ReleaseSlot(Slot* /*slot*/) override {}
 };
@@ -207,13 +199,15 @@ class PooledExecutor final : public ShardExecutorBase {
 
   const char* name() const override { return "pooled"; }
 
- protected:
+  // At most num_threads shards run at once, which bounds the slot pool.
   void Dispatch(const std::function<void(int)>& fn) override {
     for (int s = 0; s < num_shards(); ++s) {
       pool_.Submit([&fn, s] { fn(s); });
     }
     pool_.WaitAll();
   }
+
+ protected:
   // The pool runs at most num_threads tasks at once, so the free list can
   // never be empty at acquire time.
   Slot* AcquireSlot() override {

@@ -17,6 +17,7 @@
 /// parameter-server executor only has to ship StateSnapshot out and
 /// CounterDeltas back — the kernels stay untouched.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -78,6 +79,16 @@ class ShardExecutor {
   /// the master sampler's (already merged) state. Disjoint per-link writes,
   /// so this is race-free without atomics.
   virtual Status SweepAugmentation(GibbsSampler* master_sampler) = 0;
+
+  /// Runs fn(shard) for every shard in [0, num_shards()) and returns once
+  /// all calls have finished. The pooled executor fans the calls out over
+  /// its workers (at most num_threads at once); the serial and distributed
+  /// executors run them inline in shard order. Besides the E-step phases,
+  /// the trainer's M-step splits its per-example work this way, so fn must
+  /// not depend on which calls run concurrently.
+  virtual void Dispatch(const std::function<void(int)>& fn) {
+    for (int s = 0; s < num_shards(); ++s) fn(s);
+  }
 
   /// Per-shard wall-clock accumulated since ResetTimings() (Fig. 11 data).
   virtual const std::vector<double>& shard_seconds() const = 0;

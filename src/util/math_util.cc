@@ -9,15 +9,6 @@
 
 namespace cpd {
 
-double Sigmoid(double x) {
-  if (x >= 0.0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
-}
-
 double Log1pExp(double x) {
   if (x > 0.0) return x + std::log1p(std::exp(-x));
   return std::log1p(std::exp(x));

@@ -7,14 +7,23 @@
 /// ordinary-least-squares line fitting (used by the case-study and
 /// scalability experiments).
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
 
 namespace cpd {
 
-/// Numerically stable logistic function 1 / (1 + exp(-x)).
-double Sigmoid(double x);
+/// Numerically stable logistic function 1 / (1 + exp(-x)). Inline: the
+/// M-step's logistic regression calls it once per example per iteration.
+inline double Sigmoid(double x) {
+  if (x >= 0.0) {
+    const double z = std::exp(-x);
+    return 1.0 / (1.0 + z);
+  }
+  const double z = std::exp(x);
+  return z / (1.0 + z);
+}
 
 /// log(1 + exp(x)) without overflow.
 double Log1pExp(double x);

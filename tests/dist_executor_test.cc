@@ -148,6 +148,56 @@ TEST(DistributedExecutorTest, BitIdenticalToSerialDenseSampler) {
                                  std::vector<dist::WorkerHooks>(2));
 }
 
+// The M-step splits its per-example work over the executor's Dispatch, one
+// example range per shard. From one state, serial, pooled (any thread and
+// shard count) and distributed executors must fit bit-identical weights.
+std::vector<double> MStepWeightsFrom(const SynthResult& data,
+                                     const ModelState& from, CpdConfig config,
+                                     EmTrainer::ExecutorFactory factory) {
+  EmTrainer trainer(data.graph, config);
+  if (factory) trainer.SetExecutorFactoryForTest(std::move(factory));
+  EXPECT_TRUE(trainer.Initialize().ok());
+  EXPECT_TRUE(trainer.EStep().ok());  // Builds the executor.
+  *trainer.mutable_state() = from;
+  trainer.MStep();
+  return trainer.state().weights;
+}
+
+TEST(DistributedExecutorTest, MStepWeightsBitIdenticalAcrossExecutors) {
+  const SynthResult data = testing::MakeTinyGraph(42);
+  CpdConfig config = BaseConfig();
+  config.em_iterations = 2;
+  config.executor_mode = ExecutorMode::kSerial;
+  config.num_shards = 1;
+  EmTrainer reference(data.graph, config);
+  ASSERT_TRUE(reference.Train().ok());
+  const ModelState& from = reference.state();
+  const std::vector<double> expected =
+      MStepWeightsFrom(data, from, config, nullptr);
+  ASSERT_NE(expected, from.weights);  // The M-step moved the weights.
+
+  CpdConfig serial_config = config;
+  serial_config.num_shards = 4;
+  EXPECT_EQ(MStepWeightsFrom(data, from, serial_config, nullptr), expected);
+  for (const int threads : {1, 2, 4}) {
+    for (const int shards : {1, 2, 4}) {
+      CpdConfig pooled_config = config;
+      pooled_config.executor_mode = ExecutorMode::kPooled;
+      pooled_config.num_threads = threads;
+      pooled_config.num_shards = shards;
+      EXPECT_EQ(MStepWeightsFrom(data, from, pooled_config, nullptr), expected)
+          << threads << " threads x " << shards << " shards";
+    }
+  }
+  WorkerFleet fleet;
+  CpdConfig dist_config = config;
+  dist_config.num_shards = 3;
+  EXPECT_EQ(MStepWeightsFrom(data, from, dist_config,
+                             SocketpairFactory(
+                                 &fleet, std::vector<dist::WorkerHooks>(2))),
+            expected);
+}
+
 // A worker dies (closes its socket) mid-sweep after finishing one shard;
 // the coordinator re-dispatches its pending shards — with their original
 // RNG stream states — to the survivor, and the final model stays

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/em_trainer.h"
 #include "eval/metrics.h"
@@ -156,6 +160,80 @@ TEST(EmTrainerTest, EmptyGraphRejected) {
   SocialGraph empty;
   EmTrainer trainer(empty, TrainerConfig());
   EXPECT_FALSE(trainer.Train().ok());
+}
+
+// Golden chain: the exact values a small fixed-seed sparse run produced
+// before the per-user friend evaluators, the |C|-array diffusion score and
+// the pooled M-step replaced the per-document kernels. The executor-identity
+// suites only show that the execution paths agree with one another; these
+// constants pin every path to the previous kernels, bit for bit.
+struct GoldenChain {
+  size_t doc_moves;
+  uint64_t link_ll_bits;
+  std::vector<uint64_t> weight_bits;
+  uint64_t assignment_hash;
+};
+
+uint64_t HashAssignments(const ModelState& state) {
+  uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis.
+  const auto mix = [&h](std::span<const int32_t> values) {
+    for (const int32_t v : values) {
+      const auto bits = static_cast<uint32_t>(v);
+      for (int shift = 0; shift < 32; shift += 8) {
+        h ^= (bits >> shift) & 0xffu;
+        h *= 1099511628211ULL;
+      }
+    }
+  };
+  mix(state.doc_topic);
+  mix(state.doc_community);
+  return h;
+}
+
+void ExpectGoldenChain(int num_threads, int num_shards, ExecutorMode mode,
+                       const GoldenChain& golden) {
+  const SynthResult data = testing::MakeTinyGraph(42);
+  CpdConfig config = TrainerConfig();
+  config.sampler_mode = SamplerMode::kSparse;
+  config.em_iterations = 4;
+  config.gibbs_sweeps_per_em = 2;
+  config.num_threads = num_threads;
+  config.num_shards = num_shards;
+  config.executor_mode = mode;
+  EmTrainer trainer(data.graph, config);
+  ASSERT_TRUE(trainer.Train().ok());
+
+  EXPECT_EQ(trainer.stats().delta_doc_moves, golden.doc_moves);
+  EXPECT_EQ(std::bit_cast<uint64_t>(trainer.sampler()->LinkLogLikelihood()),
+            golden.link_ll_bits);
+  std::vector<uint64_t> weight_bits;
+  for (const double w : trainer.state().weights) {
+    weight_bits.push_back(std::bit_cast<uint64_t>(w));
+  }
+  EXPECT_EQ(weight_bits, golden.weight_bits);
+  EXPECT_EQ(HashAssignments(trainer.state()), golden.assignment_hash);
+}
+
+TEST(EmTrainerGoldenChainTest, SerialOneShardMatchesPreviousKernels) {
+  ExpectGoldenChain(1, 1, ExecutorMode::kSerial,
+                    {1596,
+                     13865320278669797711ULL,
+                     {4607191485121010369ULL, 4606706631294890122ULL,
+                      4597330413180109655ULL, 13801485215013428174ULL,
+                      4584969703320938478ULL, 4589378468023414115ULL,
+                      13821418667801256218ULL},
+                     8558689257035847127ULL});
+}
+
+TEST(EmTrainerGoldenChainTest, PooledTwoByTwoMatchesPreviousKernels) {
+  ExpectGoldenChain(2, 2, ExecutorMode::kPooled,
+                    {1731,
+                     13865522000230813135ULL,
+                     {4607175355353473050ULL, 4606583812131941117ULL,
+                      4597606679958072243ULL, 13807015127925482494ULL,
+                      4585189372767107574ULL, 4587239875838919316ULL,
+                      13820764164717736888ULL},
+                     18245820902203479986ULL});
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(GibbsSamplerTest, SweepUsersTouchesOnlyGivenUsers) {
   // be re-sampled only via their own docs).
   std::vector<int32_t> before_topics = h.state.doc_topic;
   const std::vector<UserId> users = {0};
-  h.sampler.SweepUsers(users, /*concurrent=*/false, &h.rng);
+  h.sampler.SweepUsers(users, &h.rng);
   for (size_t d = 0; d < h.state.num_documents; ++d) {
     if (h.result.graph.document(static_cast<DocId>(d)).user != 0) {
       EXPECT_EQ(h.state.doc_topic[d], before_topics[d]) << "doc " << d;
@@ -145,19 +145,33 @@ TEST(GibbsSamplerTest, SweepUsersTouchesOnlyGivenUsers) {
   }
 }
 
-TEST(GibbsSamplerTest, ConcurrentSweepKeepsCountsConsistent) {
-  Harness h;
-  std::vector<UserId> all_users(h.result.graph.num_users());
-  for (size_t u = 0; u < all_users.size(); ++u) {
-    all_users[u] = static_cast<UserId>(u);
+// Shard-local sweeps: consecutive SweepUsers calls over a partition of the
+// users (as the executors issue them) keep every counter exact.
+void ExpectShardSweepsKeepCountsConsistent(Harness* h) {
+  const size_t num_users = h->result.graph.num_users();
+  std::vector<UserId> first, second;
+  for (size_t u = 0; u < num_users; ++u) {
+    (u % 2 == 0 ? first : second).push_back(static_cast<UserId>(u));
   }
-  h.sampler.SweepUsers(all_users, /*concurrent=*/true, &h.rng);
-  ModelState fresh(h.result.graph, h.config);
-  fresh.doc_topic = h.state.doc_topic;
-  fresh.doc_community = h.state.doc_community;
-  fresh.RebuildCounts(h.result.graph);
-  EXPECT_EQ(fresh.n_cz, h.state.n_cz);
-  EXPECT_EQ(fresh.n_zw, h.state.n_zw);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    h->sampler.SweepUsers(first, &h->rng);
+    h->sampler.SweepUsers(second, &h->rng);
+  }
+  ModelState fresh(h->result.graph, h->config);
+  fresh.doc_topic = h->state.doc_topic;
+  fresh.doc_community = h->state.doc_community;
+  fresh.RebuildCounts(h->result.graph);
+  EXPECT_EQ(fresh.n_uc, h->state.n_uc);
+  EXPECT_EQ(fresh.n_u, h->state.n_u);
+  EXPECT_EQ(fresh.n_cz, h->state.n_cz);
+  EXPECT_EQ(fresh.n_c, h->state.n_c);
+  EXPECT_EQ(fresh.n_zw, h->state.n_zw);
+  EXPECT_EQ(fresh.n_z, h->state.n_z);
+}
+
+TEST(GibbsSamplerTest, ShardSweepsKeepCountsConsistent) {
+  Harness h;
+  ExpectShardSweepsKeepCountsConsistent(&h);
 }
 
 // ---------- sparse (alias + Metropolis-Hastings) backend ----------
@@ -206,20 +220,9 @@ TEST(SparseGibbsTest, FreezeCommunitiesHoldsAssignments) {
   EXPECT_EQ(h.state.doc_community, before);
 }
 
-TEST(SparseGibbsTest, ConcurrentSweepKeepsCountsConsistent) {
+TEST(SparseGibbsTest, ShardSweepsKeepCountsConsistent) {
   Harness h(10, SparseConfig());
-  h.sampler.RebuildSparseTables();  // Concurrent callers rebuild up front.
-  std::vector<UserId> all_users(h.result.graph.num_users());
-  for (size_t u = 0; u < all_users.size(); ++u) {
-    all_users[u] = static_cast<UserId>(u);
-  }
-  h.sampler.SweepUsers(all_users, /*concurrent=*/true, &h.rng);
-  ModelState fresh(h.result.graph, h.config);
-  fresh.doc_topic = h.state.doc_topic;
-  fresh.doc_community = h.state.doc_community;
-  fresh.RebuildCounts(h.result.graph);
-  EXPECT_EQ(fresh.n_cz, h.state.n_cz);
-  EXPECT_EQ(fresh.n_zw, h.state.n_zw);
+  ExpectShardSweepsKeepCountsConsistent(&h);
 }
 
 // Acceptance-rate sanity: with per-sweep table rebuilds the stale proposals

@@ -165,17 +165,28 @@ TEST(ModelStateTest, DocWordViewMatchesDocuments) {
   }
 }
 
-TEST(ModelStateTest, NonzeroUserCommunitiesMatchesDenseRow) {
+// Fresh scan of user u's nonzero community counts, in community order.
+std::vector<SparseCount> ScanUserCommunities(const ModelState& state, UserId u) {
+  std::vector<SparseCount> out;
+  const size_t base =
+      static_cast<size_t>(u) * static_cast<size_t>(state.num_communities);
+  for (int c = 0; c < state.num_communities; ++c) {
+    const int32_t count = state.n_uc[base + static_cast<size_t>(c)];
+    if (count != 0) out.push_back({c, count});
+  }
+  return out;
+}
+
+TEST(ModelStateTest, UserCommunityRowMatchesDenseRow) {
   const SocialGraph graph = testing::MakeTinyGraph().graph;
   ModelState state(graph, SmallConfig());
   Rng rng(3);
   state.InitializeRandom(graph, &rng);
   state.RebuildCounts(graph);
-  std::vector<SparseCount> nonzero;
   for (size_t u = 0; u < graph.num_users(); ++u) {
-    state.NonzeroUserCommunities(static_cast<UserId>(u), &nonzero);
     int64_t total = 0;
-    for (const SparseCount& entry : nonzero) {
+    for (const SparseCount& entry :
+         state.UserCommunityRow(static_cast<UserId>(u))) {
       EXPECT_EQ(entry.count,
                 state.n_uc[u * static_cast<size_t>(state.num_communities) +
                            static_cast<size_t>(entry.index)]);
@@ -189,8 +200,7 @@ TEST(ModelStateTest, NonzeroUserCommunitiesMatchesDenseRow) {
 // The cached row view must agree with the fresh scan entry-for-entry
 // (modulo ordering) after any sequence of write-through updates.
 void ExpectRowMatchesScan(ModelState* state, UserId u) {
-  std::vector<SparseCount> scan;
-  state->NonzeroUserCommunities(u, &scan);
+  const std::vector<SparseCount> scan = ScanUserCommunities(*state, u);
   const auto cached = state->UserCommunityRow(u);
   ASSERT_EQ(cached.size(), scan.size()) << "user " << u;
   std::vector<SparseCount> sorted_cached(cached.begin(), cached.end());
