@@ -7,7 +7,7 @@
 //   2. synthesize an update batch (~10% new users replaying base-document
 //      token distributions, plus novel words, friendships, diffusions);
 //   3. warm path: IngestPipeline::Ingest — merged graph, bounded warm
-//      sweeps over the touched shards, fresh v2 artifact;
+//      sweeps over the touched shards, fresh .cpdb artifact;
 //   4. cold path: full retrain on the same merged graph + artifact write.
 // Reports time-to-fresh-artifact and effective tokens/sec for both paths
 // plus quality parity (content perplexity and link log-likelihood of warm

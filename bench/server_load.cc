@@ -463,7 +463,8 @@ void Run(int override_connections) {
                     registry.Snapshot()->index.has_scoring_tables() ? "true"
                                                                     : "false");
   // Which artifact load mode backed the serving index for the whole sweep
-  // (kAuto maps v3 artifacts, so this is "mmap" unless the format regresses).
+  // (the default load mode maps the artifact, so this is "mmap" unless the
+  // loader regresses).
   json += StrFormat("  \"load_mode\": \"%s\",\n",
                     registry.Snapshot()->index.is_mmap_backed() ? "mmap"
                                                                 : "heap");

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # JSON wire format of the cpd_serve HTTP endpoints, as curl one-liners.
 #
-# Start a server first (the v2 .cpdb bundles the vocabulary, so textual
+# Start a server first (the .cpdb bundles the vocabulary, so textual
 # rank queries need no --vocab file):
 #   ./build/cpd_train --users N --docs docs.tsv --friends friends.tsv \
 #       --diffusion diffusion.tsv --model_binary model.cpdb

@@ -39,8 +39,8 @@ int main() {
     return 1;
   }
 
-  // 2. Persist the binary artifact and serve from it. LoadFromFile also
-  //    accepts the text format (SaveToFile) for older models.
+  // 2. Persist the binary artifact and serve from it (zero-copy mmap by
+  //    default).
   const std::string artifact_path = "profile_queries_model.cpdb";
   if (!model->SaveBinary(artifact_path).ok()) return 1;
   auto index = serve::ProfileIndex::LoadFromFile(artifact_path);

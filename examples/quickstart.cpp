@@ -79,8 +79,8 @@ int main() {
   }
 
   // 6. Persist for later application use.
-  if (model->SaveToFile("quickstart_model.cpd").ok()) {
-    std::printf("\nmodel saved to quickstart_model.cpd\n");
+  if (model->SaveBinary("quickstart_model.cpdb").ok()) {
+    std::printf("\nmodel saved to quickstart_model.cpdb\n");
   }
   return 0;
 }

@@ -8,7 +8,7 @@
 /// Exactly one implementation exists so the three consumers can never
 /// diverge bitwise:
 ///   - serve::ProfileIndex builds them at load time (the reference path);
-///   - the v3 .cpdb encoder precomputes and *stores* them, so an mmap load
+///   - the .cpdb encoder precomputes and *stores* them, so an mmap load
 ///     skips the O(U |C| log k) build entirely;
 ///   - the delta-apply path rebuilds them over a patched pi.
 /// The orderings are load-bearing: top-k lists are (weight descending, id
@@ -22,7 +22,7 @@
 
 namespace cpd {
 
-/// Parallel-array form of the derived structures (padding-free, so the v3
+/// Parallel-array form of the derived structures (padding-free, so the .cpdb
 /// sections are raw dumps of these vectors).
 struct ArtifactDerived {
   /// min(requested top_k, |C|); 0 when only eta_agg was requested.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "core/model_artifact.h"
-#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/string_util.h"
@@ -115,125 +113,6 @@ std::vector<int> CpdModel::TopCommunities(UserId u, int k) const {
     result.push_back(static_cast<int>(idx));
   }
   return result;
-}
-
-namespace {
-constexpr char kMagic[] = "CPDMODEL v1";
-
-void WriteVector(std::ostringstream& out, std::span<const double> v) {
-  out << v.size();
-  for (double x : v) out << ' ' << x;
-  out << '\n';
-}
-
-/// Reads one "n v1 .. vn" row into out[offset, offset + expected); the row
-/// length must match the header-implied dimension.
-bool ReadRow(std::istringstream& in, size_t expected, std::vector<double>* out,
-             size_t offset) {
-  size_t n = 0;
-  if (!(in >> n) || n != expected) return false;
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*out)[offset + i])) return false;
-  }
-  return true;
-}
-
-/// Variable-length vector (weights: the count is the source of truth).
-bool ReadVector(std::istringstream& in, std::vector<double>* v) {
-  size_t n = 0;
-  if (!(in >> n)) return false;
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*v)[i])) return false;
-  }
-  return true;
-}
-}  // namespace
-
-Status CpdModel::SaveToFile(const std::string& path) const {
-  std::ostringstream out;
-  out.precision(17);  // Round-trippable doubles.
-  out << kMagic << '\n';
-  out << num_communities_ << ' ' << num_topics_ << ' ' << num_users_ << ' '
-      << vocab_size_ << ' ' << num_time_bins_ << '\n';
-  for (size_t u = 0; u < num_users_; ++u) {
-    WriteVector(out, Membership(static_cast<UserId>(u)));
-  }
-  for (int c = 0; c < num_communities_; ++c) WriteVector(out, ContentProfile(c));
-  for (int z = 0; z < num_topics_; ++z) WriteVector(out, TopicWords(z));
-  WriteVector(out, eta_);
-  WriteVector(out, weights_);
-  WriteVector(out, popularity_);
-  return WriteStringToFile(path, out.str());
-}
-
-StatusOr<CpdModel> CpdModel::LoadFromFile(const std::string& path) {
-  auto contents = ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  std::istringstream in(*contents);
-  std::string magic_line;
-  if (!std::getline(in, magic_line) || magic_line != kMagic) {
-    return Status::InvalidArgument("not a CPD model file: " + path);
-  }
-  CpdModel model;
-  if (!(in >> model.num_communities_ >> model.num_topics_ >> model.num_users_ >>
-        model.vocab_size_ >> model.num_time_bins_) ||
-      model.num_communities_ < 1 || model.num_topics_ < 1 ||
-      model.num_time_bins_ < 1) {
-    return Status::InvalidArgument("corrupt CPD model header: " + path);
-  }
-  auto fail = [&path] {
-    return Status::InvalidArgument("corrupt CPD model body: " + path);
-  };
-  // Re-wrap the remaining stream as an istringstream for the row readers.
-  std::string rest;
-  std::getline(in, rest, '\0');
-  std::istringstream body(rest);
-  const size_t kc = static_cast<size_t>(model.num_communities_);
-  const size_t kz = static_cast<size_t>(model.num_topics_);
-  // Size sanity before any resize: every serialized value occupies at least
-  // two characters ("0 "), so the header-implied value count can never
-  // exceed the remaining byte count — and the 128-bit accumulation keeps a
-  // crafted header from wrapping the products used for the resizes below.
-  {
-    using uint128 = unsigned __int128;
-    const uint128 total_values =
-        static_cast<uint128>(model.num_users_) * kc +
-        static_cast<uint128>(kc) * kz +
-        static_cast<uint128>(kz) * model.vocab_size_ +
-        static_cast<uint128>(kc) * kc * kz +
-        static_cast<uint128>(model.num_time_bins_) * kz;
-    if (total_values > rest.size()) {
-      return Status::InvalidArgument("corrupt CPD model header: " + path);
-    }
-  }
-  model.pi_.resize(model.num_users_ * kc);
-  for (size_t u = 0; u < model.num_users_; ++u) {
-    if (!ReadRow(body, kc, &model.pi_, u * kc)) return fail();
-  }
-  model.theta_.resize(kc * kz);
-  for (size_t c = 0; c < kc; ++c) {
-    if (!ReadRow(body, kz, &model.theta_, c * kz)) return fail();
-  }
-  model.phi_.resize(kz * model.vocab_size_);
-  for (size_t z = 0; z < kz; ++z) {
-    if (!ReadRow(body, model.vocab_size_, &model.phi_, z * model.vocab_size_)) {
-      return fail();
-    }
-  }
-  if (!ReadVector(body, &model.eta_) || model.eta_.size() != kc * kc * kz) {
-    return fail();
-  }
-  if (!ReadVector(body, &model.weights_) ||
-      model.weights_.size() != static_cast<size_t>(kNumDiffusionWeights)) {
-    return fail();
-  }
-  if (!ReadVector(body, &model.popularity_) ||
-      model.popularity_.size() !=
-          static_cast<size_t>(model.num_time_bins_) * kz) {
-    return fail();
-  }
-  return model;
 }
 
 ModelArtifact CpdModel::ToArtifact() const {

@@ -37,7 +37,7 @@ namespace cpd {
 /// Immutable trained CPD model.
 class CpdModel {
  public:
-  /// An empty model; populate via Train / FromState / LoadFromFile.
+  /// An empty model; populate via Train / FromState / LoadBinary.
   CpdModel() = default;
 
   /// Runs Alg. 1 on the graph and freezes the estimates.
@@ -86,16 +86,11 @@ class CpdModel {
   const TrainStats& stats() const { return stats_; }
   const CpdConfig& config() const { return config_; }
 
-  /// Text serialization (versioned header + matrices). Human-readable and
-  /// kept for back-compat; prefer the binary artifact for serving.
-  Status SaveToFile(const std::string& path) const;
-  static StatusOr<CpdModel> LoadFromFile(const std::string& path);
-
-  /// Binary ".cpdb" artifact (core/model_artifact.h): bit-exact doubles, no
-  /// text parsing on load, and directly mappable by serve::ProfileIndex.
-  /// Pass the training vocabulary to bundle it into the artifact (v2+
-  /// section) so cpd_query / cpd_serve need no side --vocab file.
-  /// `options` picks the wire version / layout (default: v3, mmap-ready);
+  /// The ".cpdb" model artifact (core/model_artifact.h), the one file
+  /// format: bit-exact doubles and directly mappable by serve::ProfileIndex.
+  /// Pass the training vocabulary to bundle it into the artifact so
+  /// cpd_query / cpd_serve need no side --vocab file. `options` picks the
+  /// stored top-k and section alignment (default: page-aligned, top-5);
   /// `generation` stamps the artifact's lineage id so a .cpdd delta can
   /// name it as its base.
   Status SaveBinary(const std::string& path, const Vocabulary* vocab = nullptr,

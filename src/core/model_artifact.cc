@@ -32,11 +32,6 @@ void AppendRaw(std::string* out, const T& value) {
   out->append(bytes, sizeof(T));
 }
 
-void AppendDoubles(std::string* out, const std::vector<double>& values) {
-  const char* bytes = reinterpret_cast<const char*>(values.data());
-  out->append(bytes, values.size() * sizeof(double));
-}
-
 template <typename T>
 T ReadAt(const char* data, size_t offset) {
   T value;
@@ -49,42 +44,7 @@ void WriteAt(char* data, size_t offset, const T& value) {
   std::memcpy(data + offset, &value, sizeof(T));
 }
 
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    if (offset_ + sizeof(T) > bytes_.size()) return false;
-    std::memcpy(value, bytes_.data() + offset_, sizeof(T));
-    offset_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadDoubles(size_t count, std::vector<double>* out) {
-    const size_t bytes_needed = count * sizeof(double);
-    if (offset_ + bytes_needed > bytes_.size()) return false;
-    out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + offset_, bytes_needed);
-    offset_ += bytes_needed;
-    return true;
-  }
-
-  bool ReadString(size_t length, std::string* out) {
-    if (offset_ + length > bytes_.size()) return false;
-    out->assign(bytes_.data() + offset_, length);
-    offset_ += length;
-    return true;
-  }
-
-  size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  const std::string& bytes_;
-  size_t offset_ = 0;
-};
-
-// ----- v3 fixed geometry -----
+// ----- fixed geometry -----
 // 0  magic[8]           40 i32 T
 // 8  u32 version        44 u64 #weights
 // 12 u32 endian tag     52 u32 section_alignment
@@ -122,8 +82,7 @@ uint128_t SectionExpectedBytes(ArtifactSection id,
                                const ArtifactV3Layout& layout);
 
 /// Parses one bundled-vocabulary section body (count already validated by
-/// ParseV3Layout for v3; the bounds checks stay so the v2 decoder and
-/// Materialize can share it defensively).
+/// ParseV3Layout; the bounds checks stay defensively).
 Status ParseVocabSection(const char* section, uint64_t length,
                          std::vector<std::string>* words,
                          std::vector<int64_t>* frequencies) {
@@ -254,8 +213,7 @@ Status ModelArtifact::Validate() const {
 Status ModelArtifact::BuildVocabulary(Vocabulary* out) const {
   if (!has_vocabulary()) {
     return Status::FailedPrecondition(
-        "model artifact carries no bundled vocabulary (v1 file, or saved "
-        "without one)");
+        "model artifact carries no bundled vocabulary (saved without one)");
   }
   CPD_RETURN_IF_ERROR(Validate());
   return VocabularyFromWords(vocab_words, vocab_frequencies, out);
@@ -275,43 +233,11 @@ std::string EncodeVocabSection(const ModelArtifact& artifact) {
   return out;
 }
 
-StatusOr<std::string> EncodeLegacy(const ModelArtifact& artifact,
-                                   uint32_t version) {
-  if (version == 1 && artifact.has_vocabulary()) {
-    return Status::InvalidArgument(
-        "model artifact: version 1 cannot carry a vocabulary (save v2+ or "
-        "drop it)");
-  }
-  std::string out;
-  out.reserve(sizeof(kModelArtifactMagic) + 64 +
-              (artifact.pi.size() + artifact.theta.size() +
-               artifact.phi.size() + artifact.eta.size() +
-               artifact.weights.size() + artifact.popularity.size()) *
-                  sizeof(double));
-  out.append(kModelArtifactMagic, sizeof(kModelArtifactMagic));
-  AppendRaw(&out, version);
-  AppendRaw(&out, kModelArtifactEndianTag);
-  AppendRaw(&out, artifact.num_communities);
-  AppendRaw(&out, artifact.num_topics);
-  AppendRaw(&out, artifact.num_users);
-  AppendRaw(&out, artifact.vocab_size);
-  AppendRaw(&out, artifact.num_time_bins);
-  AppendRaw(&out, static_cast<uint64_t>(artifact.weights.size()));
-  AppendDoubles(&out, artifact.pi);
-  AppendDoubles(&out, artifact.theta);
-  AppendDoubles(&out, artifact.phi);
-  AppendDoubles(&out, artifact.eta);
-  AppendDoubles(&out, artifact.weights);
-  AppendDoubles(&out, artifact.popularity);
-  if (version >= 2) {
-    // v2 vocabulary section (count 0 when none is bundled).
-    out.append(EncodeVocabSection(artifact));
-  }
-  return out;
-}
+}  // namespace
 
-StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
-                               const ArtifactWriteOptions& options) {
+StatusOr<std::string> EncodeModelArtifact(const ModelArtifact& artifact,
+                                          const ArtifactWriteOptions& options) {
+  CPD_RETURN_IF_ERROR(artifact.Validate());
   const uint32_t alignment = options.section_alignment;
   if (alignment < 8 || alignment > kV3MaxAlignment ||
       (alignment & (alignment - 1)) != 0) {
@@ -378,7 +304,7 @@ StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
   std::string out(cursor, '\0');
   char* data = out.data();
   std::memcpy(data, kModelArtifactMagic, sizeof(kModelArtifactMagic));
-  WriteAt<uint32_t>(data, 8, 3u);
+  WriteAt<uint32_t>(data, 8, kModelArtifactVersion);
   WriteAt<uint32_t>(data, 12, kModelArtifactEndianTag);
   WriteAt<int32_t>(data, 16, artifact.num_communities);
   WriteAt<int32_t>(data, 20, artifact.num_topics);
@@ -405,28 +331,31 @@ StatusOr<std::string> EncodeV3(const ModelArtifact& artifact,
   return out;
 }
 
-}  // namespace
-
-StatusOr<std::string> EncodeModelArtifact(const ModelArtifact& artifact,
-                                          const ArtifactWriteOptions& options) {
-  CPD_RETURN_IF_ERROR(artifact.Validate());
-  if (options.version < kModelArtifactMinVersion ||
-      options.version > kModelArtifactVersion) {
-    return Status::InvalidArgument(
-        StrFormat("model artifact: cannot write version %u (writer "
-                  "understands versions %u..%u)",
-                  options.version, kModelArtifactMinVersion,
-                  kModelArtifactVersion));
-  }
-  if (options.version < 3) return EncodeLegacy(artifact, options.version);
-  return EncodeV3(artifact, options);
-}
-
 Status ParseV3Layout(const char* data, size_t size,
                      ArtifactV3Layout* layout) {
+  if (size < sizeof(kModelArtifactMagic) ||
+      std::memcmp(data, kModelArtifactMagic, sizeof(kModelArtifactMagic)) !=
+          0) {
+    return Status::InvalidArgument("not a CPD binary model artifact");
+  }
+  if (size < 16) {
+    return Status::OutOfRange("model artifact: truncated header");
+  }
+  const uint32_t version = ReadAt<uint32_t>(data, 8);
+  if (version != kModelArtifactVersion) {
+    return Status::Unimplemented(
+        StrFormat("model artifact: version %u not supported (reader "
+                  "understands version %u only)",
+                  version, kModelArtifactVersion));
+  }
+  if (ReadAt<uint32_t>(data, 12) != kModelArtifactEndianTag) {
+    return Status::InvalidArgument(
+        "model artifact: foreign byte order (written on an incompatible "
+        "host)");
+  }
   if (size < kV3FixedHeaderBytes) {
     return Status::OutOfRange(StrFormat(
-        "model artifact: truncated v3 header (%zu bytes, need %zu)", size,
+        "model artifact: truncated header (%zu bytes, need %zu)", size,
         kV3FixedHeaderBytes));
   }
   layout->num_communities = ReadAt<int32_t>(data, 16);
@@ -717,9 +646,13 @@ uint128_t SectionExpectedBytes(ArtifactSection id,
   return 0;
 }
 
-StatusOr<ModelArtifact> DecodeV3(const std::string& bytes) {
-  ArtifactV3Layout layout;
-  CPD_RETURN_IF_ERROR(ParseV3Layout(bytes.data(), bytes.size(), &layout));
+/// Heap copy of the core estimates + vocabulary of a validated layout —
+/// the one materialization both DecodeModelArtifact and
+/// MappedModelArtifact::Materialize use. The derived sections (eta_agg,
+/// top-k, postings) are intentionally not surfaced: heap consumers rebuild
+/// them from the estimates, which is the reference the stored ones are
+/// differentially tested against.
+ModelArtifact CopyArtifact(const char* data, const ArtifactV3Layout& layout) {
   ModelArtifact artifact;
   artifact.num_communities = layout.num_communities;
   artifact.num_topics = layout.num_topics;
@@ -727,163 +660,37 @@ StatusOr<ModelArtifact> DecodeV3(const std::string& bytes) {
   artifact.vocab_size = layout.vocab_size;
   artifact.num_time_bins = layout.num_time_bins;
   artifact.generation = layout.generation;
-  const auto copy_doubles = [&](ArtifactSection id, std::vector<double>* out) {
+  const auto copy = [&](ArtifactSection id) {
     const auto& extent = layout.sections[static_cast<uint32_t>(id)];
-    out->resize(static_cast<size_t>(extent.length / sizeof(double)));
-    std::memcpy(out->data(), bytes.data() + extent.offset,
-                static_cast<size_t>(extent.length));
+    // A range copy, not memcpy into data(): an empty section (|U| = 0 or
+    // |W| = 0) leaves the destination vector's data() null.
+    const double* begin =
+        reinterpret_cast<const double*>(data + extent.offset);
+    return std::vector<double>(begin, begin + extent.length / sizeof(double));
   };
-  copy_doubles(ArtifactSection::kPi, &artifact.pi);
-  copy_doubles(ArtifactSection::kTheta, &artifact.theta);
-  copy_doubles(ArtifactSection::kPhi, &artifact.phi);
-  copy_doubles(ArtifactSection::kEta, &artifact.eta);
-  copy_doubles(ArtifactSection::kWeights, &artifact.weights);
-  copy_doubles(ArtifactSection::kPopularity, &artifact.popularity);
-  // The derived sections (eta_agg, top-k, postings) are intentionally not
-  // surfaced: the heap path rebuilds them from the estimates, which is the
-  // reference the stored ones are differentially tested against.
+  artifact.pi = copy(ArtifactSection::kPi);
+  artifact.theta = copy(ArtifactSection::kTheta);
+  artifact.phi = copy(ArtifactSection::kPhi);
+  artifact.eta = copy(ArtifactSection::kEta);
+  artifact.weights = copy(ArtifactSection::kWeights);
+  artifact.popularity = copy(ArtifactSection::kPopularity);
   if (layout.vocab_count != 0) {
     const auto& vocab =
         layout.sections[static_cast<uint32_t>(ArtifactSection::kVocab)];
-    CPD_RETURN_IF_ERROR(ParseVocabSection(
-        bytes.data() + vocab.offset, vocab.length, &artifact.vocab_words,
-        &artifact.vocab_frequencies));
+    // ParseV3Layout walked the section, so the parse cannot fail.
+    (void)ParseVocabSection(data + vocab.offset, vocab.length,
+                            &artifact.vocab_words,
+                            &artifact.vocab_frequencies);
   }
-  CPD_RETURN_IF_ERROR(artifact.Validate());
   return artifact;
-}
-
-/// Names the first sequential-format section that does not fit in
-/// `remaining_doubles` (v1/v2 truncation diagnostics).
-const char* FirstTruncatedLegacySection(const ModelArtifact& artifact,
-                                        uint64_t num_weights,
-                                        uint128_t remaining_doubles) {
-  const uint128_t kc = static_cast<uint128_t>(artifact.num_communities);
-  const uint128_t kz = static_cast<uint128_t>(artifact.num_topics);
-  const uint128_t kt = static_cast<uint128_t>(artifact.num_time_bins);
-  const struct {
-    const char* name;
-    uint128_t doubles;
-  } sections[] = {
-      {"pi", static_cast<uint128_t>(artifact.num_users) * kc},
-      {"theta", kc * kz},
-      {"phi", kz * artifact.vocab_size},
-      {"eta", kc * kc * kz},
-      {"weights", static_cast<uint128_t>(num_weights)},
-      {"popularity", kt * kz},
-  };
-  uint128_t used = 0;
-  for (const auto& section : sections) {
-    used += section.doubles;
-    if (used > remaining_doubles) return section.name;
-  }
-  return "body";
 }
 
 }  // namespace
 
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes) {
-  if (!LooksLikeModelArtifact(bytes)) {
-    return Status::InvalidArgument("not a CPD binary model artifact");
-  }
-  ByteReader reader(bytes);
-  char magic[sizeof(kModelArtifactMagic)];
-  reader.Read(&magic);  // Cannot fail: LooksLikeModelArtifact checked length.
-
-  uint32_t version = 0;
-  uint32_t endian_tag = 0;
-  ModelArtifact artifact;
-  uint64_t num_weights = 0;
-  if (!reader.Read(&version) || !reader.Read(&endian_tag)) {
-    return Status::OutOfRange("model artifact: truncated header");
-  }
-  if (version < kModelArtifactMinVersion || version > kModelArtifactVersion) {
-    return Status::Unimplemented(
-        StrFormat("model artifact: version %u not supported (reader "
-                  "understands versions %u..%u)",
-                  version, kModelArtifactMinVersion, kModelArtifactVersion));
-  }
-  if (endian_tag != kModelArtifactEndianTag) {
-    return Status::InvalidArgument(
-        "model artifact: foreign byte order (written on an incompatible "
-        "host)");
-  }
-  if (version >= 3) return DecodeV3(bytes);
-  if (!reader.Read(&artifact.num_communities) ||
-      !reader.Read(&artifact.num_topics) || !reader.Read(&artifact.num_users) ||
-      !reader.Read(&artifact.vocab_size) ||
-      !reader.Read(&artifact.num_time_bins) || !reader.Read(&num_weights)) {
-    return Status::OutOfRange("model artifact: truncated header");
-  }
-  if (artifact.num_communities < 1 || artifact.num_topics < 1 ||
-      artifact.num_time_bins < 1) {
-    return Status::InvalidArgument(
-        "model artifact: corrupt header (non-positive dimensions)");
-  }
-  // Reject absurd headers before sizing any allocation against them: every
-  // matrix must fit in the bytes that actually follow. The products are
-  // accumulated in 128 bits so a crafted header cannot wrap the check (each
-  // factor fits in 64 bits, so no term overflows 128).
-  const size_t kc = static_cast<size_t>(artifact.num_communities);
-  const size_t kz = static_cast<size_t>(artifact.num_topics);
-  const size_t kt = static_cast<size_t>(artifact.num_time_bins);
-  const uint128_t total_doubles =
-      static_cast<uint128_t>(artifact.num_users) * kc +
-      static_cast<uint128_t>(kc) * kz +
-      static_cast<uint128_t>(kz) * artifact.vocab_size +
-      static_cast<uint128_t>(kc) * kc * kz +
-      static_cast<uint128_t>(num_weights) + static_cast<uint128_t>(kt) * kz;
-  if (total_doubles > reader.remaining() / sizeof(double)) {
-    return Status::OutOfRange(StrFormat(
-        "model artifact: truncated in section %s (%zu bytes left, header "
-        "needs %llu doubles)",
-        FirstTruncatedLegacySection(artifact, num_weights,
-                                    reader.remaining() / sizeof(double)),
-        reader.remaining(),
-        static_cast<unsigned long long>(
-            total_doubles > ~0ull ? ~0ull
-                                  : static_cast<uint64_t>(total_doubles))));
-  }
-  reader.ReadDoubles(artifact.num_users * kc, &artifact.pi);
-  reader.ReadDoubles(kc * kz, &artifact.theta);
-  reader.ReadDoubles(kz * artifact.vocab_size, &artifact.phi);
-  reader.ReadDoubles(kc * kc * kz, &artifact.eta);
-  reader.ReadDoubles(static_cast<size_t>(num_weights), &artifact.weights);
-  reader.ReadDoubles(kt * kz, &artifact.popularity);
-  if (version >= 2) {
-    uint64_t vocab_count = 0;
-    if (!reader.Read(&vocab_count)) {
-      return Status::OutOfRange("model artifact: truncated vocabulary section");
-    }
-    if (vocab_count != 0 && vocab_count != artifact.vocab_size) {
-      return Status::InvalidArgument(StrFormat(
-          "model artifact: vocabulary section has %llu words, header says "
-          "|W|=%llu",
-          static_cast<unsigned long long>(vocab_count),
-          static_cast<unsigned long long>(artifact.vocab_size)));
-    }
-    artifact.vocab_words.reserve(static_cast<size_t>(vocab_count));
-    artifact.vocab_frequencies.reserve(static_cast<size_t>(vocab_count));
-    for (uint64_t i = 0; i < vocab_count; ++i) {
-      uint32_t length = 0;
-      std::string word;
-      int64_t frequency = 0;
-      if (!reader.Read(&length) || !reader.ReadString(length, &word) ||
-          !reader.Read(&frequency)) {
-        return Status::OutOfRange(
-            "model artifact: truncated vocabulary section");
-      }
-      artifact.vocab_words.push_back(std::move(word));
-      artifact.vocab_frequencies.push_back(frequency);
-    }
-  }
-  if (reader.remaining() != 0) {
-    return Status::InvalidArgument(StrFormat(
-        "model artifact: %zu trailing bytes after the last section",
-        reader.remaining()));
-  }
-  CPD_RETURN_IF_ERROR(artifact.Validate());
-  return artifact;
+  ArtifactV3Layout layout;
+  CPD_RETURN_IF_ERROR(ParseV3Layout(bytes.data(), bytes.size(), &layout));
+  return CopyArtifact(bytes.data(), layout);
 }
 
 Status WriteModelArtifact(const std::string& path,
@@ -905,12 +712,6 @@ StatusOr<ModelArtifact> ReadModelArtifact(const std::string& path) {
   return decoded;
 }
 
-bool LooksLikeModelArtifact(const std::string& bytes) {
-  return bytes.size() >= sizeof(kModelArtifactMagic) &&
-         std::memcmp(bytes.data(), kModelArtifactMagic,
-                     sizeof(kModelArtifactMagic)) == 0;
-}
-
 // ----- MappedModelArtifact -----
 
 StatusOr<std::shared_ptr<const MappedModelArtifact>> MappedModelArtifact::Open(
@@ -925,7 +726,7 @@ StatusOr<std::shared_ptr<const MappedModelArtifact>> MappedModelArtifact::Open(
     return Status::IOError("cannot stat model artifact: " + path);
   }
   const size_t size = static_cast<size_t>(info.st_size);
-  if (size < sizeof(kModelArtifactMagic)) {
+  if (size == 0) {  // mmap rejects an empty mapping.
     ::close(fd);
     return Status::InvalidArgument("not a CPD binary model artifact: " + path);
   }
@@ -934,48 +735,15 @@ StatusOr<std::shared_ptr<const MappedModelArtifact>> MappedModelArtifact::Open(
   if (base == MAP_FAILED) {
     return Status::IOError("mmap failed for model artifact: " + path);
   }
-  const char* data = static_cast<const char*>(base);
-  const auto fail = [&](Status status) {
-    ::munmap(base, size);
-    return Status(status.code(), status.message() + ": " + path);
-  };
-  if (std::memcmp(data, kModelArtifactMagic, sizeof(kModelArtifactMagic)) !=
-      0) {
-    return fail(Status::InvalidArgument("not a CPD binary model artifact"));
-  }
-  if (size < 16) {
-    return fail(Status::OutOfRange("model artifact: truncated header"));
-  }
-  const uint32_t version = ReadAt<uint32_t>(data, 8);
-  const uint32_t endian_tag = ReadAt<uint32_t>(data, 12);
-  if (version < kModelArtifactMinVersion ||
-      version > kModelArtifactVersion) {
-    return fail(Status::Unimplemented(
-        StrFormat("model artifact: version %u not supported (reader "
-                  "understands versions %u..%u)",
-                  version, kModelArtifactMinVersion, kModelArtifactVersion)));
-  }
-  if (endian_tag != kModelArtifactEndianTag) {
-    return fail(Status::InvalidArgument(
-        "model artifact: foreign byte order (written on an incompatible "
-        "host)"));
-  }
-  if (version < 3) {
-    return fail(Status::FailedPrecondition(StrFormat(
-        "model artifact: version %u has no mmap layout; load it on the heap "
-        "(load_mode=heap) or re-save it as v3",
-        version)));
-  }
   auto mapped = std::shared_ptr<MappedModelArtifact>(new MappedModelArtifact());
   mapped->path_ = path;
-  mapped->data_ = data;
+  mapped->data_ = static_cast<const char*>(base);
   mapped->size_ = size;
-  const Status parsed = ParseV3Layout(data, size, &mapped->layout_);
+  const Status parsed = ParseV3Layout(mapped->data_, size, &mapped->layout_);
   if (!parsed.ok()) {
     // The shared_ptr destructor unmaps.
     return Status(parsed.code(), parsed.message() + ": " + path);
   }
-  mapped->vocab_count_ = mapped->layout_.vocab_count;
   return std::shared_ptr<const MappedModelArtifact>(std::move(mapped));
 }
 
@@ -1010,8 +778,7 @@ std::span<const int32_t> MappedModelArtifact::members() const {
 Status MappedModelArtifact::BuildVocabulary(Vocabulary* out) const {
   if (!has_vocabulary()) {
     return Status::FailedPrecondition(
-        "model artifact carries no bundled vocabulary (v1 file, or saved "
-        "without one)");
+        "model artifact carries no bundled vocabulary (saved without one)");
   }
   std::vector<std::string> words;
   std::vector<int64_t> frequencies;
@@ -1022,30 +789,7 @@ Status MappedModelArtifact::BuildVocabulary(Vocabulary* out) const {
 }
 
 ModelArtifact MappedModelArtifact::Materialize() const {
-  ModelArtifact artifact;
-  artifact.num_communities = layout_.num_communities;
-  artifact.num_topics = layout_.num_topics;
-  artifact.num_users = layout_.num_users;
-  artifact.vocab_size = layout_.vocab_size;
-  artifact.num_time_bins = layout_.num_time_bins;
-  artifact.generation = layout_.generation;
-  const auto copy = [](std::span<const double> view) {
-    return std::vector<double>(view.begin(), view.end());
-  };
-  artifact.pi = copy(pi());
-  artifact.theta = copy(theta());
-  artifact.phi = copy(phi());
-  artifact.eta = copy(eta());
-  artifact.weights = copy(weights());
-  artifact.popularity = copy(popularity());
-  if (has_vocabulary()) {
-    // Open() validated the section, so the parse cannot fail.
-    (void)ParseVocabSection(SectionData(ArtifactSection::kVocab),
-                            SectionLength(ArtifactSection::kVocab),
-                            &artifact.vocab_words,
-                            &artifact.vocab_frequencies);
-  }
-  return artifact;
+  return CopyArtifact(data_, layout_);
 }
 
 }  // namespace cpd

@@ -2,25 +2,13 @@
 #define CPD_CORE_MODEL_ARTIFACT_H_
 
 /// \file model_artifact.h
-/// The versioned binary model artifact (".cpdb"): the serving-grade
-/// counterpart of CpdModel's readable text format. Three wire versions are
-/// understood; all share the 8-byte magic, a little-endian u32 version, and
-/// the endianness tag 0x01020304.
+/// The binary model artifact (".cpdb"), the one file format a trained CPD
+/// model is stored in. A fixed header carrying the dims plus a section
+/// table, then page-aligned sections, so a reader can map the file and
+/// serve std::span rows straight off the page cache with zero
+/// deserialization:
 ///
-/// v1/v2 — the sequential heap format:
-///
-///   magic "CPDBMODL" | u32 version | u32 endian tag 0x01020304 |
-///   i32 |C| | i32 |Z| | u64 |U| | u64 |W| | i32 T | u64 #weights |
-///   pi (U*C) | theta (C*Z) | phi (Z*W) | eta (C*C*Z) | weights |
-///   popularity (T*Z)
-///   [v2+] u64 vocab_count | vocab_count x (u32 len | bytes | i64 freq)
-///
-/// v3 — the same estimates laid out for mmap: a fixed header carrying the
-/// dims plus a section table, then page-aligned sections so a reader can
-/// map the file and serve std::span rows straight off the page cache with
-/// zero deserialization:
-///
-///   magic | u32 version=3 | u32 endian tag |
+///   magic "CPDBMODL" | u32 version=3 | u32 endian tag 0x01020304 |
 ///   i32 |C| | i32 |Z| | u64 |U| | u64 |W| | i32 T | u64 #weights |
 ///   u32 section_alignment | u32 section_count | u32 derived_top_k |
 ///   u32 header_checksum (FNV-1a over header+table, field zeroed) |
@@ -30,19 +18,20 @@
 ///   zero padding | sections, each at an offset multiple of
 ///   section_alignment, in ascending-id order, zero-padded between
 ///
-/// v3 also stores the *derived* read-side structures (eta_agg, per-user
-/// top-k membership lists, per-community postings as padding-free parallel
-/// arrays) computed by core/artifact_derived.h, so an mmap load skips the
-/// O(U |C| log k) build entirely and a reload is O(1) in the model size.
-/// The encoder is deterministic (fixed section order, zero fill), so
-/// encode -> decode -> encode round-trips byte-identically.
+/// The file also stores the *derived* read-side structures (eta_agg,
+/// per-user top-k membership lists, per-community postings as padding-free
+/// parallel arrays) computed by core/artifact_derived.h, so an mmap load
+/// skips the O(U |C| log k) build entirely and a reload is O(1) in the
+/// model size. The encoder is deterministic (fixed section order, zero
+/// fill), so encode -> decode -> encode round-trips byte-identically.
 ///
-/// Readers reject wrong magic, unknown versions, foreign byte order,
-/// truncated or oversized payloads, and (v3) any corrupt header/table bit,
-/// misaligned, overlapping, or out-of-bounds section with typed Status
-/// errors that name the offending section. Both CpdModel::{Save,Load}Binary
-/// and ProfileIndex/LoadModelBundle speak this format through the functions
-/// here; MappedModelArtifact is the zero-copy mmap reader.
+/// One validator, ParseV3Layout, decides what a valid file is: it rejects
+/// wrong magic, any version but 3, foreign byte order, truncated or
+/// oversized payloads, any corrupt header/table bit, and misaligned,
+/// overlapping, or out-of-bounds sections with typed Status errors that
+/// name the offending section. Two materializations sit on top of it:
+/// DecodeModelArtifact copies the sections onto the heap, and
+/// MappedModelArtifact serves them zero-copy from an mmap.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,11 +48,9 @@ namespace cpd {
 inline constexpr char kModelArtifactMagic[8] = {'C', 'P', 'D', 'B',
                                                 'M', 'O', 'D', 'L'};
 inline constexpr uint32_t kModelArtifactVersion = 3;
-/// Oldest version the reader still accepts (v1 = no vocabulary section).
-inline constexpr uint32_t kModelArtifactMinVersion = 1;
 inline constexpr uint32_t kModelArtifactEndianTag = 0x01020304u;
 
-/// v3 section identifiers, in file order. 1..8 are mandatory; 9..13 (the
+/// Section identifiers, in file order. 1..8 are mandatory; 9..13 (the
 /// derived read-side structures) are present iff derived_top_k > 0.
 enum class ArtifactSection : uint32_t {
   kPi = 1,
@@ -94,7 +81,7 @@ struct ModelArtifact {
   uint64_t num_users = 0;
   uint64_t vocab_size = 0;
   int32_t num_time_bins = 1;
-  /// Lineage stamp (v3 header field; 0 for v1/v2 files and cold trains).
+  /// Lineage stamp (header field; 0 for cold trains).
   /// Ingest generation N artifacts carry N so a delta can name its base.
   uint64_t generation = 0;
 
@@ -105,7 +92,7 @@ struct ModelArtifact {
   std::vector<double> weights;     ///< kNumDiffusionWeights.
   std::vector<double> popularity;  ///< T x Z.
 
-  /// Bundled vocabulary (v2+ section): empty, or exactly vocab_size words
+  /// Bundled vocabulary (vocab section): empty, or exactly vocab_size words
   /// with parallel occurrence counts. Word id == position.
   std::vector<std::string> vocab_words;
   std::vector<int64_t> vocab_frequencies;
@@ -123,25 +110,23 @@ struct ModelArtifact {
 
 /// Encoder knobs. The defaults produce the canonical serving artifact.
 struct ArtifactWriteOptions {
-  /// Wire version to emit (kModelArtifactMinVersion..kModelArtifactVersion).
-  uint32_t version = kModelArtifactVersion;
-  /// k of the stored top-k membership/posting sections (v3 only; the
-  /// paper's top-5 convention matches ProfileIndexOptions' default). 0
-  /// omits the membership sections (eta_agg is always stored).
+  /// k of the stored top-k membership/posting sections (the paper's top-5
+  /// convention matches ProfileIndexOptions' default). 0 omits the
+  /// membership sections (eta_agg is always stored).
   uint32_t derived_top_k = 5;
-  /// v3 section alignment in bytes (power of two >= 8; 4096 = page size).
+  /// Section alignment in bytes (power of two >= 8; 4096 = page size).
   uint32_t section_alignment = 4096;
 };
 
-/// Serializes the artifact into a byte string (version per options).
+/// Serializes the artifact into a byte string.
 StatusOr<std::string> EncodeModelArtifact(
     const ModelArtifact& artifact, const ArtifactWriteOptions& options = {});
 
-/// Parses a byte string produced by EncodeModelArtifact (any supported
-/// version). Typed failures: InvalidArgument for bad magic/endianness/dims/
-/// corrupt section table, Unimplemented for a newer version, OutOfRange for
-/// truncated, out-of-bounds, or trailing bytes. v3 errors name the
-/// offending section.
+/// Parses a byte string produced by EncodeModelArtifact onto the heap.
+/// Typed failures (ParseV3Layout's taxonomy): InvalidArgument for bad
+/// magic/endianness/dims/corrupt section table, Unimplemented for any
+/// version but 3, OutOfRange for truncated, out-of-bounds, or trailing
+/// bytes. Errors name the offending section.
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes);
 
 /// Whole-file convenience wrappers around the codec.
@@ -150,11 +135,7 @@ Status WriteModelArtifact(const std::string& path,
                           const ArtifactWriteOptions& options = {});
 StatusOr<ModelArtifact> ReadModelArtifact(const std::string& path);
 
-/// True if the byte string begins with the .cpdb magic (used by loaders
-/// that sniff binary vs text model files).
-bool LooksLikeModelArtifact(const std::string& bytes);
-
-/// Parsed v3 geometry: where every section lives inside the raw bytes.
+/// Parsed geometry: where every section lives inside the raw bytes.
 /// Produced by ParseV3Layout after full validation (alignment, bounds,
 /// overlap, checksum, size-vs-dims), shared by the heap decoder and the
 /// mmap reader so the two cannot disagree on what a valid file is.
@@ -181,13 +162,13 @@ struct ArtifactV3Layout {
   bool has_derived() const { return derived_top_k > 0; }
 };
 
-/// Validates `data[0..size)` as a v3 artifact and fills `layout`. The
-/// caller guarantees the magic matched; everything else (version, endian,
-/// checksum, table, section geometry, vocab/posting internals) is checked
-/// here with section-named typed errors.
+/// Validates `data[0..size)` as a .cpdb artifact and fills `layout`: magic,
+/// version (Unimplemented, naming it, for anything but 3), byte order,
+/// checksum, table, section geometry and vocab/posting internals, with
+/// section-named typed errors.
 Status ParseV3Layout(const char* data, size_t size, ArtifactV3Layout* layout);
 
-/// A v3 artifact mapped read-only into the address space: the zero-copy
+/// A .cpdb artifact mapped read-only into the address space: the zero-copy
 /// counterpart of DecodeModelArtifact. Open() validates the whole layout
 /// up front (same checks as the heap decoder), then the accessors are raw
 /// spans into the mapping — no rows are copied, the kernel pages the file
@@ -196,9 +177,8 @@ Status ParseV3Layout(const char* data, size_t size, ArtifactV3Layout* layout);
 /// shared_ptr drops.
 class MappedModelArtifact {
  public:
-  /// mmaps and validates `path`. InvalidArgument when the file is not a
-  /// .cpdb; FailedPrecondition when it is an older (v1/v2) artifact that
-  /// has no mmap layout; otherwise the ParseV3Layout taxonomy.
+  /// mmaps and validates `path`. NotFound when the file cannot be opened;
+  /// otherwise the ParseV3Layout taxonomy.
   static StatusOr<std::shared_ptr<const MappedModelArtifact>> Open(
       const std::string& path);
 
@@ -248,7 +228,7 @@ class MappedModelArtifact {
   }
 
   // ----- vocabulary (strings are decoded, not zero-copy) -----
-  bool has_vocabulary() const { return vocab_count_ != 0; }
+  bool has_vocabulary() const { return layout_.vocab_count != 0; }
   /// FailedPrecondition when the file bundles no vocabulary.
   Status BuildVocabulary(Vocabulary* out) const;
 
@@ -277,7 +257,6 @@ class MappedModelArtifact {
   const char* data_ = nullptr;  ///< mmap base (page-aligned).
   size_t size_ = 0;
   ArtifactV3Layout layout_;
-  uint64_t vocab_count_ = 0;  ///< Parsed once at Open (0 = none bundled).
 };
 
 }  // namespace cpd

@@ -72,7 +72,10 @@ class ByteReader {
     const size_t bytes_needed = count * sizeof(double);
     if (offset_ + bytes_needed > bytes_.size()) return false;
     out->resize(count);
-    std::memcpy(out->data(), bytes_.data() + offset_, bytes_needed);
+    // An empty section leaves out->data() null, which memcpy may not take.
+    if (bytes_needed != 0) {
+      std::memcpy(out->data(), bytes_.data() + offset_, bytes_needed);
+    }
     offset_ += bytes_needed;
     return true;
   }
@@ -568,8 +571,7 @@ StatusOr<ModelArtifact> ApplyModelDelta(const ModelArtifact& base,
   result.generation = delta.generation;
   const size_t kc = static_cast<size_t>(delta.num_communities);
   result.pi.assign(static_cast<size_t>(delta.num_users) * kc, 0.0);
-  std::memcpy(result.pi.data(), base.pi.data(),
-              base.pi.size() * sizeof(double));
+  std::copy(base.pi.begin(), base.pi.end(), result.pi.begin());
   for (size_t i = 0; i < delta.touched_users.size(); ++i) {
     std::memcpy(result.pi.data() + delta.touched_users[i] * kc,
                 delta.touched_pi.data() + i * kc, kc * sizeof(double));

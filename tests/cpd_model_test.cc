@@ -95,30 +95,10 @@ TEST_F(CpdModelTest, PopularityClampsOutOfRangeTime) {
   EXPECT_DOUBLE_EQ(model_->TopicPopularity(-5, 0), model_->TopicPopularity(0, 0));
 }
 
-TEST_F(CpdModelTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/cpd_model_test.txt";
-  ASSERT_TRUE(model_->SaveToFile(path).ok());
-  auto loaded = CpdModel::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_communities(), model_->num_communities());
-  EXPECT_EQ(loaded->num_topics(), model_->num_topics());
-  EXPECT_EQ(loaded->num_users(), model_->num_users());
-  // Spot-check numeric fidelity.
-  for (size_t u = 0; u < model_->num_users(); u += 7) {
-    const auto& original = model_->Membership(static_cast<UserId>(u));
-    const auto& reloaded = loaded->Membership(static_cast<UserId>(u));
-    for (size_t c = 0; c < original.size(); ++c) {
-      EXPECT_NEAR(original[c], reloaded[c], 1e-9);
-    }
-  }
-  EXPECT_NEAR(loaded->Eta(1, 2, 3), model_->Eta(1, 2, 3), 1e-9);
-  std::filesystem::remove(path);
-}
-
 TEST_F(CpdModelTest, LoadRejectsGarbage) {
   const std::string path = ::testing::TempDir() + "/cpd_model_garbage.txt";
   ASSERT_TRUE(WriteStringToFile(path, "not a model\n1 2 3\n").ok());
-  EXPECT_FALSE(CpdModel::LoadFromFile(path).ok());
+  EXPECT_FALSE(CpdModel::LoadBinary(path).ok());
   std::filesystem::remove(path);
 }
 
@@ -140,15 +120,6 @@ TEST_F(CpdModelTest, BinarySaveLoadRoundTrip) {
     }
   }
   EXPECT_EQ(loaded->Eta(1, 2, 3), model_->Eta(1, 2, 3));
-  std::filesystem::remove(path);
-}
-
-TEST_F(CpdModelTest, LoadBinaryRejectsTextModels) {
-  const std::string path = ::testing::TempDir() + "/cpd_model_text.cpd";
-  ASSERT_TRUE(model_->SaveToFile(path).ok());
-  EXPECT_FALSE(CpdModel::LoadBinary(path).ok());
-  // But the text loader still reads it (back-compat contract).
-  EXPECT_TRUE(CpdModel::LoadFromFile(path).ok());
   std::filesystem::remove(path);
 }
 

@@ -141,8 +141,8 @@ TEST_F(ErrorEnvelopeTest, EveryTypedHandlerErrorUsesTheEnvelope) {
        "InvalidArgument"},
       {"reload of unloaded name", "POST", "/admin/reload",
        R"({"model":"ghost"})", 409, "FailedPrecondition"},
-      {"failed reload", "POST", "/admin/reload",
-       R"({"path":"/no/such/file.cpdb"})", 500, "IOError"},
+      {"reload of a missing file", "POST", "/admin/reload",
+       R"({"path":"/no/such/file.cpdb"})", 404, "NotFound"},
   };
   auto client = HttpClient::Connect(kHost, server.port());
   ASSERT_TRUE(client.ok());

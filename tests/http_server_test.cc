@@ -146,7 +146,7 @@ TEST_F(HttpServerTest, AllQueryTypesAreByteIdenticalToInProcessEngine) {
   // The in-process reference: same artifact, same engine the server uses.
   const auto snapshot = fixture.registry.Snapshot();
   ASSERT_NE(snapshot, nullptr);
-  ASSERT_NE(snapshot->vocabulary, nullptr);  // v2 artifact bundles it.
+  ASSERT_NE(snapshot->vocabulary, nullptr);  // The artifact bundles it.
   const serve::QueryEngine& engine = *snapshot->engine;
 
   serve::MembershipRequest membership;
@@ -551,11 +551,12 @@ TEST_F(HttpServerTest, ReloadSwapsModelsWithZeroFailedInFlightRequests) {
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health->Find("generation")->number(), 2.0);
 
-  // A failed reload keeps the current model serving.
+  // A failed reload keeps the current model serving. A missing file is
+  // the mmap loader's NotFound: 404.
   EXPECT_EQ(Fetch(port, "POST", "/admin/reload",
                   R"({"path":"/no/such/file.cpdb"})")
                 .status,
-            500);
+            404);
   EXPECT_EQ(Fetch(port, "POST", "/v1/query", body).body, expected_b);
 }
 
@@ -794,7 +795,7 @@ TEST_F(HttpServerTest, ReloadModelFieldValidation) {
   EXPECT_EQ(Fetch(port, "POST", "/admin/reload",
                   R"({"model":"ghost","path":"/no/such.cpdb"})")
                 .status,
-            500);
+            404);
   auto list = Json::Parse(Fetch(port, "GET", "/v1/models").body);
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->Find("models")->size(), 1u);

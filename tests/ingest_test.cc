@@ -482,7 +482,7 @@ TEST(IngestPipeline, SequentialIngestsProduceLoadableGrowingArtifacts) {
   // the base graph (the end-to-end "previously-unknown user" guarantee).
   auto bundle = serve::LoadModelBundle(artifacts[1], {});
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  ASSERT_NE(bundle->vocabulary, nullptr) << "v2 artifact bundles the vocab";
+  ASSERT_NE(bundle->vocabulary, nullptr) << "the artifact bundles the vocab";
   EXPECT_EQ(bundle->index.num_users(), base_users + 6);
   serve::QueryEngine engine(bundle->index);
   serve::MembershipRequest request;

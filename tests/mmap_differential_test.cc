@@ -23,6 +23,7 @@
 #include "server/json_api.h"
 #include "server/model_registry.h"
 #include "test_util.h"
+#include "util/file_util.h"
 
 namespace cpd {
 namespace {
@@ -266,31 +267,28 @@ TEST_F(MmapDifferentialTest, CanonicalTraceIsByteIdenticalAcrossLoadModes) {
   }
 }
 
-TEST_F(MmapDifferentialTest, AutoModeMapsV3AndFallsBackForLegacy) {
-  auto decoded = ReadModelArtifact(*base_path_);
-  ASSERT_TRUE(decoded.ok());
-  ArtifactWriteOptions v2_options;
-  v2_options.version = 2;
-  const std::string v2_path = ::testing::TempDir() + "/mmap_diff_v2.cpdb";
-  ASSERT_TRUE(WriteModelArtifact(v2_path, *decoded, v2_options).ok());
+TEST_F(MmapDifferentialTest, FailedLoadLeavesNothingServingInBothModes) {
+  // A truncated copy of the base artifact: both modes refuse it with the
+  // same status, and the failed load must leave nothing serving
+  // (load-then-swap) until a good file arrives.
+  auto bytes = ReadFileToString(*base_path_);
+  ASSERT_TRUE(bytes.ok());
+  const std::string cut_path = ::testing::TempDir() + "/mmap_diff_cut.cpdb";
+  ASSERT_TRUE(
+      WriteStringToFile(cut_path, bytes->substr(0, bytes->size() / 2)).ok());
 
-  // kMmap is strict: a v2 artifact has no layout to map, and the failed
-  // load must leave nothing serving (load-then-swap).
-  auto strict = MakeRegistry(ArtifactLoadMode::kMmap);
-  const Status refused = strict->LoadFrom(v2_path);
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition)
-      << refused.ToString();
-  EXPECT_EQ(strict->Snapshot(), nullptr);
-  EXPECT_EQ(strict->reload_failures(), 1u);
-  ASSERT_TRUE(strict->LoadFrom(*base_path_).ok());
-  EXPECT_TRUE(strict->Snapshot()->index.is_mmap_backed());
-
-  // kAuto maps the v3 file and silently copies the v2 one; both serve.
-  auto automatic = MakeRegistry(ArtifactLoadMode::kAuto);
-  ASSERT_TRUE(automatic->LoadFrom(*base_path_).ok());
-  EXPECT_TRUE(automatic->Snapshot()->index.is_mmap_backed());
-  ASSERT_TRUE(automatic->LoadFrom(v2_path).ok());
-  EXPECT_FALSE(automatic->Snapshot()->index.is_mmap_backed());
+  for (const auto mode :
+       {ArtifactLoadMode::kHeap, ArtifactLoadMode::kMmap}) {
+    SCOPED_TRACE(serve::ArtifactLoadModeName(mode));
+    auto registry = MakeRegistry(mode);
+    const Status refused = registry->LoadFrom(cut_path);
+    EXPECT_EQ(refused.code(), StatusCode::kOutOfRange) << refused.ToString();
+    EXPECT_EQ(registry->Snapshot(), nullptr);
+    EXPECT_EQ(registry->reload_failures(), 1u);
+    ASSERT_TRUE(registry->LoadFrom(*base_path_).ok());
+    EXPECT_EQ(registry->Snapshot()->index.is_mmap_backed(),
+              mode == ArtifactLoadMode::kMmap);
+  }
 }
 
 TEST_F(MmapDifferentialTest, DeltaChainMatchesFullRebuildBitwise) {

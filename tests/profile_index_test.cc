@@ -54,65 +54,58 @@ CpdModel* ProfileIndexTest::model_ = nullptr;
 
 // ----- binary persistence -----
 
-TEST_F(ProfileIndexTest, TextAndBinaryRoundTripsAreBitExact) {
-  const std::string text_path = TempPath("round_trip.cpd");
+TEST_F(ProfileIndexTest, BinaryRoundTripIsBitExact) {
   const std::string binary_path = TempPath("round_trip.cpdb");
-  ASSERT_TRUE(model_->SaveToFile(text_path).ok());
   ASSERT_TRUE(model_->SaveBinary(binary_path).ok());
-
-  auto from_text = CpdModel::LoadFromFile(text_path);
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
   auto from_binary = CpdModel::LoadBinary(binary_path);
   ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
 
-  // Both load paths must reproduce every matrix of the trained model
-  // bit-for-bit (text uses precision 17, binary stores raw doubles).
-  for (const CpdModel* loaded : {&*from_text, &*from_binary}) {
-    ASSERT_EQ(loaded->num_communities(), model_->num_communities());
-    ASSERT_EQ(loaded->num_topics(), model_->num_topics());
-    ASSERT_EQ(loaded->num_users(), model_->num_users());
-    ASSERT_EQ(loaded->vocab_size(), model_->vocab_size());
-    ASSERT_EQ(loaded->num_time_bins(), model_->num_time_bins());
-    for (size_t u = 0; u < model_->num_users(); ++u) {
-      const auto expected = model_->Membership(static_cast<UserId>(u));
-      const auto actual = loaded->Membership(static_cast<UserId>(u));
-      for (size_t c = 0; c < expected.size(); ++c) {
-        EXPECT_EQ(expected[c], actual[c]) << "pi[" << u << "][" << c << "]";
-      }
+  // The load must reproduce every matrix of the trained model bit-for-bit
+  // (the artifact stores raw doubles).
+  const CpdModel* loaded = &*from_binary;
+  ASSERT_EQ(loaded->num_communities(), model_->num_communities());
+  ASSERT_EQ(loaded->num_topics(), model_->num_topics());
+  ASSERT_EQ(loaded->num_users(), model_->num_users());
+  ASSERT_EQ(loaded->vocab_size(), model_->vocab_size());
+  ASSERT_EQ(loaded->num_time_bins(), model_->num_time_bins());
+  for (size_t u = 0; u < model_->num_users(); ++u) {
+    const auto expected = model_->Membership(static_cast<UserId>(u));
+    const auto actual = loaded->Membership(static_cast<UserId>(u));
+    for (size_t c = 0; c < expected.size(); ++c) {
+      EXPECT_EQ(expected[c], actual[c]) << "pi[" << u << "][" << c << "]";
     }
-    for (int c = 0; c < model_->num_communities(); ++c) {
-      const auto expected = model_->ContentProfile(c);
-      const auto actual = loaded->ContentProfile(c);
-      for (size_t z = 0; z < expected.size(); ++z) {
-        EXPECT_EQ(expected[z], actual[z]) << "theta[" << c << "][" << z << "]";
-      }
+  }
+  for (int c = 0; c < model_->num_communities(); ++c) {
+    const auto expected = model_->ContentProfile(c);
+    const auto actual = loaded->ContentProfile(c);
+    for (size_t z = 0; z < expected.size(); ++z) {
+      EXPECT_EQ(expected[z], actual[z]) << "theta[" << c << "][" << z << "]";
     }
-    for (int z = 0; z < model_->num_topics(); ++z) {
-      const auto expected = model_->TopicWords(z);
-      const auto actual = loaded->TopicWords(z);
-      for (size_t w = 0; w < expected.size(); ++w) {
-        EXPECT_EQ(expected[w], actual[w]) << "phi[" << z << "][" << w << "]";
-      }
+  }
+  for (int z = 0; z < model_->num_topics(); ++z) {
+    const auto expected = model_->TopicWords(z);
+    const auto actual = loaded->TopicWords(z);
+    for (size_t w = 0; w < expected.size(); ++w) {
+      EXPECT_EQ(expected[w], actual[w]) << "phi[" << z << "][" << w << "]";
     }
-    for (int c = 0; c < model_->num_communities(); ++c) {
-      for (int c2 = 0; c2 < model_->num_communities(); ++c2) {
-        for (int z = 0; z < model_->num_topics(); ++z) {
-          EXPECT_EQ(loaded->Eta(c, c2, z), model_->Eta(c, c2, z));
-        }
-      }
-    }
-    ASSERT_EQ(loaded->DiffusionWeights().size(),
-              model_->DiffusionWeights().size());
-    for (size_t k = 0; k < model_->DiffusionWeights().size(); ++k) {
-      EXPECT_EQ(loaded->DiffusionWeights()[k], model_->DiffusionWeights()[k]);
-    }
-    for (int32_t t = 0; t < model_->num_time_bins(); ++t) {
+  }
+  for (int c = 0; c < model_->num_communities(); ++c) {
+    for (int c2 = 0; c2 < model_->num_communities(); ++c2) {
       for (int z = 0; z < model_->num_topics(); ++z) {
-        EXPECT_EQ(loaded->TopicPopularity(t, z), model_->TopicPopularity(t, z));
+        EXPECT_EQ(loaded->Eta(c, c2, z), model_->Eta(c, c2, z));
       }
     }
   }
-  std::filesystem::remove(text_path);
+  ASSERT_EQ(loaded->DiffusionWeights().size(),
+            model_->DiffusionWeights().size());
+  for (size_t k = 0; k < model_->DiffusionWeights().size(); ++k) {
+    EXPECT_EQ(loaded->DiffusionWeights()[k], model_->DiffusionWeights()[k]);
+  }
+  for (int32_t t = 0; t < model_->num_time_bins(); ++t) {
+    for (int z = 0; z < model_->num_topics(); ++z) {
+      EXPECT_EQ(loaded->TopicPopularity(t, z), model_->TopicPopularity(t, z));
+    }
+  }
   std::filesystem::remove(binary_path);
 }
 
@@ -174,14 +167,10 @@ TEST_F(ProfileIndexTest, LoadBinaryRejectsTruncatedFile) {
           << "kept " << keep << " bytes: " << loaded.status().ToString();
     }
   }
-  // The legacy sequential format names the truncated section too.
-  ModelArtifact legacy_artifact = model_->ToArtifact();
-  ArtifactWriteOptions v2_options;
-  v2_options.version = 2;
-  auto v2 = EncodeModelArtifact(legacy_artifact, v2_options);
-  ASSERT_TRUE(v2.ok());
+  // The in-memory decoder names the truncated section too.
   {
-    const auto loaded = DecodeModelArtifact(v2->substr(0, v2->size() / 2));
+    const auto loaded =
+        DecodeModelArtifact(bytes->substr(0, bytes->size() / 3));
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange);
     EXPECT_NE(loaded.status().message().find("section"), std::string::npos)
@@ -347,16 +336,6 @@ TEST_F(ProfileIndexTest, CpdbIndexAnswersBitIdenticallyToModelIndex) {
   std::filesystem::remove(path);
 }
 
-TEST_F(ProfileIndexTest, LoadFromFileReadsTextModelsToo) {
-  const std::string path = TempPath("legacy.cpd");
-  ASSERT_TRUE(model_->SaveToFile(path).ok());
-  auto index = ProfileIndex::LoadFromFile(path);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ(index->num_communities(), model_->num_communities());
-  EXPECT_EQ(index->num_users(), model_->num_users());
-  std::filesystem::remove(path);
-}
-
 // ----- query engine behavior -----
 
 TEST_F(ProfileIndexTest, ScoringOnlyIndexSkipsMembershipStructures) {
@@ -452,7 +431,7 @@ TEST_F(ProfileIndexTest, BatchMatchesSequentialAndIsolatesErrors) {
   EXPECT_TRUE(pooled[8].ok());
 }
 
-// ----- artifact v2: bundled vocabulary -----
+// ----- bundled vocabulary -----
 
 TEST_F(ProfileIndexTest, BundledVocabularyRoundTrips) {
   const Vocabulary& vocab = data_->graph.corpus().vocabulary();
@@ -493,32 +472,18 @@ TEST_F(ProfileIndexTest, ArtifactWithoutVocabularyLoadsWithNullVocab) {
   std::filesystem::remove(path);
 }
 
-TEST_F(ProfileIndexTest, Version1ArtifactsStillLoad) {
-  const std::string path = TempPath("v1_compat.cpdb");
-  // The default save is v3 now, so build the v2 bytes explicitly, then
-  // rewrite them as a v1 artifact: version byte back to 1, drop the
-  // trailing empty vocabulary section (one u64 count).
-  ArtifactWriteOptions v2_options;
-  v2_options.version = 2;
-  auto bytes = EncodeModelArtifact(model_->ToArtifact(), v2_options);
-  ASSERT_TRUE(bytes.ok());
-  std::string v1 = *bytes;
-  ASSERT_EQ(v1[8], 2);
-  v1[8] = 1;
-  v1.resize(v1.size() - sizeof(uint64_t));
-  ASSERT_TRUE(WriteStringToFile(path, v1).ok());
-
-  auto bundle = serve::LoadModelBundle(path);
-  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  EXPECT_EQ(bundle->vocabulary, nullptr);
-  EXPECT_EQ(bundle->index.num_users(), model_->num_users());
-  EXPECT_EQ(bundle->index.Membership(1)[0], model_->Membership(1)[0]);
-  // A v1 reader would see trailing bytes if we forgot to truncate; prove
-  // the v2 reader equally rejects a v1 body with vocab leftovers.
-  std::string corrupt = *bytes;
-  corrupt[8] = 1;
-  EXPECT_FALSE(DecodeModelArtifact(corrupt).ok());
-  std::filesystem::remove(path);
+TEST_F(ProfileIndexTest, LoadModeSpellingsAndDefault) {
+  for (const auto mode :
+       {serve::ArtifactLoadMode::kHeap, serve::ArtifactLoadMode::kMmap}) {
+    auto parsed =
+        serve::ParseArtifactLoadMode(serve::ArtifactLoadModeName(mode));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(*parsed, mode);
+  }
+  EXPECT_EQ(serve::ParseArtifactLoadMode("auto").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(serve::ProfileIndexOptions{}.load_mode,
+            serve::ArtifactLoadMode::kMmap);
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 #      docs/HTTP_API.md, so new endpoints cannot ship undocumented;
 #   3. every metric family name ("cpd_..." string literal in src/**/*.cc)
 #      must appear in the docs/OBSERVABILITY.md catalog, so new metrics
-#      cannot ship undocumented.
+#      cannot ship undocumented;
+#   4. every --flag in README.md and docs/*.md must be accepted by some
+#      tools/cpd_*.cc (its kKnownFlags set), so docs cannot keep naming a
+#      removed flag. cmake/ctest flags are allowlisted.
 # Exits non-zero listing every violation.
 
 set -u
@@ -79,8 +82,29 @@ else
   done
 fi
 
+# ----- 4. documented --flags exist in some tool -----
+# Flags of the build commands the docs quote (cmake --build/--target,
+# ctest --output-on-failure), not of any cpd_* tool.
+build_flags="build output target"
+known_flags=$(for tool in tools/cpd_*.cc; do
+                sed -n '/kKnownFlags = {/,/};/p' "$tool"
+              done | grep -oE '"[a-z0-9_]+"' | tr -d '"' | sort -u)
+if [ -z "$known_flags" ]; then
+  echo "ERROR: no kKnownFlags extracted from tools/cpd_*.cc" \
+       "(did the flag-set idiom change?)"
+  failures=1
+fi
+doc_flags=$(grep -ohE '(^|[^A-Za-z0-9_-])--[a-z][a-z0-9_]*' README.md docs/*.md |
+            sed -E 's/^.*--//' | sort -u)
+for flag in $doc_flags; do
+  if ! printf '%s\n' $known_flags $build_flags | grep -qxF "$flag"; then
+    echo "UNKNOWN FLAG: --$flag (documented, but no tools/cpd_*.cc accepts it)"
+    failures=1
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (links resolve, every route and metric documented)"
+echo "docs check OK (links resolve, every route, metric and flag checked)"

@@ -1,9 +1,8 @@
-// Serving front end for trained models: load a binary ".cpdb" artifact (or
-// a legacy text model) into a ProfileIndex and answer the four §5 query
-// types through the QueryEngine — interactively (REPL on stdin) or as a
-// batch file fanned out over a thread pool. v2 artifacts bundle the
-// vocabulary, so textual `rank` queries work without --vocab (the flag
-// remains as an override).
+// Serving front end for trained models: load a ".cpdb" artifact into a
+// ProfileIndex and answer the four §5 query types through the QueryEngine
+// — interactively (REPL on stdin) or as a batch file fanned out over a
+// thread pool. Artifacts bundle the vocabulary, so textual `rank` queries
+// work without --vocab (the flag remains as an override).
 //
 // Usage:
 //   cpd_query --model model.cpdb [--vocab vocab.tsv] [--top_k 5]

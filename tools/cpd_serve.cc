@@ -1,10 +1,10 @@
-// HTTP serving front end: load a ".cpdb" artifact (vocabulary bundled in
-// v2 artifacts; --vocab overrides) into a hot-swappable ModelRegistry and
-// serve the four query types as JSON endpoints until SIGINT/SIGTERM.
+// HTTP serving front end: load a ".cpdb" artifact (bundled vocabulary;
+// --vocab overrides) into a hot-swappable ModelRegistry and serve the four
+// query types as JSON endpoints until SIGINT/SIGTERM.
 //
 // Usage:
 //   cpd_serve --model model.cpdb [--vocab vocab.tsv] [--top_k 5]
-//             [--precompute 1]
+//             [--precompute 1] [--load_mode mmap|heap]
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
 //             [--io_mode epoll|blocking] [--max_connections 1024]
 //             [--coalesce_window_us 0] [--coalesce_max 16]
@@ -65,7 +65,7 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
-               "          [--precompute 1] [--load_mode auto|heap|mmap]\n"
+               "          [--precompute 1] [--load_mode mmap|heap]\n"
                "          [--port 8080] [--host 127.0.0.1] [--threads 4]\n"
                "          [--io_mode epoll|blocking] [--max_connections "
                "1024]\n"
@@ -142,9 +142,9 @@ int main(int argc, char** argv) {
   // --precompute 0 serves through the naive reference kernels (saves
   // (|C|+|V|+|C|^2)*|Z| doubles of index memory per generation).
   index_options.precompute_scoring = int_flag("precompute", 1) != 0;
-  // --load_mode mmap serves the v3 artifact straight off the page cache
-  // (and makes non-v3 inputs a hard error); heap forces the copying
-  // reference path; auto (default) maps v3 and copies everything else.
+  // --load_mode mmap (default) serves the artifact straight off the page
+  // cache; heap copies it (the reference path, for network filesystems or
+  // a self-contained RSS).
   if (args.count("load_mode")) {
     auto mode = cpd::serve::ParseArtifactLoadMode(args["load_mode"]);
     if (!mode.ok()) {
@@ -198,8 +198,8 @@ int main(int argc, char** argv) {
     const auto model = registry.Snapshot();
     if (model->vocabulary == nullptr) {
       CPD_LOG(Warning)
-          << "no vocabulary (v1 artifact without --vocab): textual rank "
-             "queries disabled, send word ids";
+          << "no vocabulary (artifact saved without one, no --vocab): "
+             "textual rank queries disabled, send word ids";
     }
   }
 
@@ -208,9 +208,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<cpd::ingest::IngestPipeline> pipeline;
   if (graph != nullptr) {
     // Pipeline-setup failures only disable the ingest route (it answers
-    // 409); read traffic keeps serving — e.g. a text-format artifact (the
-    // registry sniffs it, but warm starts need the binary form) or a
-    // graph/model mismatch.
+    // 409); read traffic keeps serving — e.g. a graph/model mismatch.
     auto trained = cpd::CpdModel::LoadBinary(args["model"]);
     if (!trained.ok()) {
       CPD_LOG(Warning) << "ingest disabled (model not loadable as .cpdb): "

@@ -12,7 +12,7 @@
 //             [--executor auto|serial|pooled|distributed] [--shards 0]
 //             [--workers N | --worker_addrs H:P,H:P] [--worker_binary PATH]
 //             [--sweep_deadline_ms 30000]
-//             [--model out.cpd] [--model_binary out.cpdb]
+//             [--model_binary out.cpdb]
 //             [--vocab out.vocab] [--dot diffusion.dot]
 //             [--json profiles.json]
 //             [--trace_out sweeps.json] [--log_level info]
@@ -22,8 +22,8 @@
 // load it in Perfetto (ui.perfetto.dev) or chrome://tracing.
 //
 // Prints dataset statistics, training progress, community labels and the
-// topic-aggregated diffusion matrix; optionally saves the model (text
-// and/or binary .cpdb for cpd_query), the vocabulary, and the Fig. 7-style
+// topic-aggregated diffusion matrix; optionally saves the model (a .cpdb
+// artifact for cpd_query / cpd_serve), the vocabulary, and the Fig. 7-style
 // visualization exports.
 
 #include <cstdio>
@@ -53,8 +53,7 @@ void Usage(const char* argv0) {
                "          [--executor auto|serial|pooled|distributed]\n"
                "          [--workers N | --worker_addrs H:P,H:P]\n"
                "          [--worker_binary PATH] [--sweep_deadline_ms 30000]\n"
-               "          [--shards 0] [--model out.cpd]\n"
-               "          [--model_binary out.cpdb] [--artifact_version 3]\n"
+               "          [--shards 0] [--model_binary out.cpdb]\n"
                "          [--vocab out.vocab]\n"
                "          [--dot out.dot] [--json out.json]\n"
                "          [--trace_out sweeps.json]\n"
@@ -65,10 +64,9 @@ void Usage(const char* argv0) {
 const std::set<std::string> kKnownFlags = {
     "users",    "docs",     "friends",      "diffusion", "communities",
     "topics",   "iterations", "threads",    "seed",      "sampler",
-    "mh_steps", "executor", "shards",       "model",     "model_binary",
-    "vocab",    "dot",      "json",         "workers",   "worker_addrs",
-    "worker_binary", "sweep_deadline_ms", "trace_out", "log_level",
-    "artifact_version"};
+    "mh_steps", "executor", "shards",       "model_binary", "vocab",
+    "dot",      "json",     "workers",      "worker_addrs", "worker_binary",
+    "sweep_deadline_ms", "trace_out", "log_level"};
 
 }  // namespace
 
@@ -233,24 +231,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (args.count("model")) {
-    const cpd::Status status = model->SaveToFile(args["model"]);
-    if (!status.ok()) {
-      std::fprintf(stderr, "model save failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("\nmodel -> %s\n", args["model"].c_str());
-  }
   if (args.count("model_binary")) {
     // The vocabulary is bundled into the artifact so cpd_query and
-    // cpd_serve need no side --vocab file. --artifact_version 1|2 keeps
-    // emitting the legacy heap-only layouts for older readers; the default
-    // v3 is page-aligned for zero-copy mmap serving.
-    cpd::ArtifactWriteOptions write_options;
-    write_options.version = static_cast<uint32_t>(cpd::GetInt64FlagOrExit(
-        args, "artifact_version", write_options.version, usage));
-    const cpd::Status status =
-        model->SaveBinary(args["model_binary"], &vocab, write_options);
+    // cpd_serve need no side --vocab file.
+    const cpd::Status status = model->SaveBinary(args["model_binary"], &vocab);
     if (!status.ok()) {
       std::fprintf(stderr, "binary model save failed: %s\n",
                    status.ToString().c_str());
