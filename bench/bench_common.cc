@@ -115,16 +115,4 @@ void PrintBenchHeader(const std::string& title, const BenchScale& scale,
               scale.paper ? "paper" : "default", scale.folds);
 }
 
-long CurrentRssKb() {
-  std::FILE* status = std::fopen("/proc/self/status", "r");
-  if (status == nullptr) return 0;
-  long rss_kb = 0;
-  char line[256];
-  while (std::fgets(line, sizeof(line), status) != nullptr) {
-    if (std::sscanf(line, "VmRSS: %ld kB", &rss_kb) == 1) break;
-  }
-  std::fclose(status);
-  return rss_kb;
-}
-
 }  // namespace cpd::bench

@@ -84,11 +84,6 @@ ScorerFactory MakeCpdScorerFactory(CpdConfig config);
 void PrintBenchHeader(const std::string& title, const BenchScale& scale,
                       const BenchDataset& dataset);
 
-/// Resident set size of this process in KiB (VmRSS from /proc/self/status),
-/// or 0 on platforms without procfs. Used by the load_mode bench sections to
-/// report how much private heap each artifact load mode pins.
-long CurrentRssKb();
-
 }  // namespace cpd::bench
 
 #endif  // CPD_BENCH_BENCH_COMMON_H_

@@ -5,8 +5,8 @@
 //   1. Record-path microbench: ns/op for Counter::Increment and
 //      Histogram::Record (the two hot-path primitives every request
 //      touches), single-threaded, on the real registry handles.
-//   2. End-to-end serving overhead: the bench_server_load stack (trained
-//      model, epoll, one closed-loop connection issuing POST /v1/query)
+//   2. End-to-end serving overhead: the cpd_serve stack (trained model,
+//      epoll, one closed-loop connection issuing POST /v1/query)
 //      run twice against fresh servers — once fully instrumented, once
 //      with ServiceStats metrics recording disabled (`cpd_serve
 //      --metrics off`). Reports best-of-three qps per mode and the
@@ -18,8 +18,8 @@
 // (overhead can legitimately print negative on a noisy box — treat small
 // magnitudes as "within noise", not as metrics being free).
 //
-// Follows the BENCH_server.json conventions: laptop-friendly scale,
-// honors CPD_BENCH_JSON_DIR, records hardware_concurrency.
+// Laptop-friendly scale; honors CPD_BENCH_JSON_DIR and records
+// hardware_concurrency.
 
 #include <algorithm>
 #include <atomic>
@@ -50,7 +50,8 @@ constexpr int kServerThreads = 8;
 constexpr size_t kRequests = 3000;
 constexpr int kMeasuredPasses = 3;
 
-/// Same request mix as bench_server_load, pre-serialized.
+/// cpd_serve's request mix (55% membership, 25% rank, 10% diffusion, 10%
+/// top_users), pre-serialized.
 std::vector<std::string> BuildWireWorkload(const SocialGraph& graph,
                                            const serve::ProfileIndex& index,
                                            size_t count, Rng* rng) {

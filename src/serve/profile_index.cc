@@ -278,13 +278,12 @@ void ProfileIndex::MaterializeTopMemberships(
 }
 
 void ProfileIndex::BuildScoringTables() {
-  if (!options_.precompute_scoring) return;
   const size_t c_count = kc();
   const size_t z_count = kz();
   // Fused eta*theta rows, (c,z)-major: G[c][z][c2] = eta(c,c2,z) *
-  // theta_c2[z]. One multiply per cell, so dotting a row with pi_v
-  // reproduces the reference kernel's ((eta*theta)*pi_v) grouping
-  // bit-for-bit.
+  // theta_c2[z]. One multiply per cell, so dotting a row with pi_v keeps
+  // the naive ((eta*theta)*pi_v) grouping bit-for-bit (the oracle in
+  // scoring_equivalence_test pins this).
   eta_theta_.assign(c_count * z_count * c_count, 0.0);
   for (size_t c = 0; c < c_count; ++c) {
     for (size_t c2 = 0; c2 < c_count; ++c2) {
@@ -296,8 +295,8 @@ void ProfileIndex::BuildScoringTables() {
       }
     }
   }
-  // M[c][z] = sum_c2 G[c][z][c2], c2 ascending — the same accumulation
-  // the reference Eq. 19 kernel performs per request.
+  // M[c][z] = sum_c2 G[c][z][c2], c2 ascending — the same accumulation a
+  // naive per-request Eq. 19 kernel would perform.
   link_content_.assign(c_count * z_count, 0.0);
   for (size_t c = 0; c < c_count; ++c) {
     for (size_t z = 0; z < z_count; ++z) {
@@ -307,9 +306,8 @@ void ProfileIndex::BuildScoringTables() {
       link_content_[c * z_count + z] = total;
     }
   }
-  // Word-major log-phi: the same floored std::log the reference kernels
-  // apply per token, hoisted to build time and transposed so a query
-  // word's topic row is contiguous.
+  // Word-major log-phi: the floored per-token std::log, hoisted to build
+  // time and transposed so a query word's topic row is contiguous.
   word_log_phi_.assign(vocab_size_ * z_count, 0.0);
   for (size_t z = 0; z < z_count; ++z) {
     const double* phi_row = phi_.data() + z * vocab_size_;

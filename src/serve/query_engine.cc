@@ -45,31 +45,17 @@ StatusOr<RankCommunitiesResponse> QueryEngine::RankCommunities(
   for (WordId w : request.words) CPD_RETURN_IF_ERROR(index_.CheckWord(w));
   const int kc = index_.num_communities();
   const int kz = index_.num_topics();
-  const bool fast = index_.has_scoring_tables();
 
   // g_z = prod_{w in q} phi_{z,w}, computed in log space and rescaled by the
   // max to avoid underflow (a global per-z factor cancels in the ranking).
   // An empty query leaves g uniform: Eq. 19 degrades to the prior ranking.
-  // The fast path gathers |q| contiguous word-major rows of build-time
-  // log-phi; the reference strides |q| full-vocab rows and logs per
-  // (token, topic). Both accumulate per topic in word order, so they agree
-  // bitwise.
+  // Gathers |q| contiguous word-major rows of build-time log-phi,
+  // accumulating per topic in word order.
   std::vector<double> log_g(static_cast<size_t>(kz), 0.0);
-  if (fast) {
-    for (WordId w : request.words) {
-      const auto row = index_.WordLogPhi(w);
-      for (int z = 0; z < kz; ++z) {
-        log_g[static_cast<size_t>(z)] += row[static_cast<size_t>(z)];
-      }
-    }
-  } else {
+  for (WordId w : request.words) {
+    const auto row = index_.WordLogPhi(w);
     for (int z = 0; z < kz; ++z) {
-      const auto phi = index_.TopicWords(z);
-      double lg = 0.0;
-      for (WordId w : request.words) {
-        lg += std::log(std::max(phi[static_cast<size_t>(w)], 1e-300));
-      }
-      log_g[static_cast<size_t>(z)] = lg;
+      log_g[static_cast<size_t>(z)] += row[static_cast<size_t>(z)];
     }
   }
   const double max_log = *std::max_element(log_g.begin(), log_g.end());
@@ -80,26 +66,15 @@ StatusOr<RankCommunitiesResponse> QueryEngine::RankCommunities(
   }
 
   // Eq. 19 scores into a flat scratch; entries are materialized only for
-  // the returned communities. With the precomputed link-content matrix the
-  // per-community cost is one length-|Z| dot instead of the O(|C| |Z|)
-  // reference recomputation of sum_c2 eta(c,c2,z) theta_c2[z].
+  // the returned communities. The precomputed link-content matrix makes the
+  // per-community cost one length-|Z| dot instead of an O(|C| |Z|)
+  // recomputation of sum_c2 eta(c,c2,z) theta_c2[z].
   std::vector<double> scores(static_cast<size_t>(kc), 0.0);
   for (int c = 0; c < kc; ++c) {
+    const auto m = index_.LinkContentRow(c);
     double score = 0.0;
-    if (fast) {
-      const auto m = index_.LinkContentRow(c);
-      for (int z = 0; z < kz; ++z) {
-        score += m[static_cast<size_t>(z)] * g[static_cast<size_t>(z)];
-      }
-    } else {
-      for (int z = 0; z < kz; ++z) {
-        double inner = 0.0;
-        for (int c2 = 0; c2 < kc; ++c2) {
-          inner += index_.Eta(c, c2, z) *
-                   index_.ContentProfile(c2)[static_cast<size_t>(z)];
-        }
-        score += inner * g[static_cast<size_t>(z)];
-      }
+    for (int z = 0; z < kz; ++z) {
+      score += m[static_cast<size_t>(z)] * g[static_cast<size_t>(z)];
     }
     scores[static_cast<size_t>(c)] = score;
   }
@@ -138,22 +113,10 @@ StatusOr<RankCommunitiesResponse> QueryEngine::RankCommunities(
     // p(z | q, c), recomputed for returned entries only (identically to
     // the scoring loop above, so normalization sees the same terms).
     entry.topic_distribution.assign(static_cast<size_t>(kz), 0.0);
-    if (fast) {
-      const auto m = index_.LinkContentRow(c);
-      for (int z = 0; z < kz; ++z) {
-        entry.topic_distribution[static_cast<size_t>(z)] =
-            m[static_cast<size_t>(z)] * g[static_cast<size_t>(z)];
-      }
-    } else {
-      for (int z = 0; z < kz; ++z) {
-        double inner = 0.0;
-        for (int c2 = 0; c2 < kc; ++c2) {
-          inner += index_.Eta(c, c2, z) *
-                   index_.ContentProfile(c2)[static_cast<size_t>(z)];
-        }
-        entry.topic_distribution[static_cast<size_t>(z)] =
-            inner * g[static_cast<size_t>(z)];
-      }
+    const auto m = index_.LinkContentRow(c);
+    for (int z = 0; z < kz; ++z) {
+      entry.topic_distribution[static_cast<size_t>(z)] =
+          m[static_cast<size_t>(z)] * g[static_cast<size_t>(z)];
     }
     NormalizeInPlace(&entry.topic_distribution);
   }
@@ -173,10 +136,12 @@ StatusOr<std::vector<double>> QueryEngine::DocumentTopicPosterior(
                   graph_->num_documents()));
   }
   const Document& doc = graph_->document(document);
-  // The graph is bound independently of the model, so the author id must be
-  // validated against the index (a mismatched --users load must surface as
-  // a typed error, not an out-of-bounds read).
+  // The graph is bound independently of the model, so the author and word
+  // ids must be validated against the index (a mismatched --users/--docs
+  // load or a reloaded model must surface as a typed error, not an
+  // out-of-bounds read).
   CPD_RETURN_IF_ERROR(index_.CheckUser(doc.user));
+  for (WordId w : doc.words) CPD_RETURN_IF_ERROR(index_.CheckWord(w));
   const int kz = index_.num_topics();
   const int kc = index_.num_communities();
   const auto pi_v = index_.Membership(doc.user);
@@ -190,24 +155,12 @@ StatusOr<std::vector<double>> QueryEngine::DocumentTopicPosterior(
     }
     log_post[static_cast<size_t>(z)] = std::log(std::max(prior, 1e-300));
   }
-  // Word term: gather |doc| contiguous word-major log-phi rows when
-  // precomputed; both paths add words in document order on top of the
-  // prior, so they agree bitwise.
-  if (index_.has_scoring_tables()) {
-    for (WordId w : doc.words) {
-      const auto row = index_.WordLogPhi(w);
-      for (int z = 0; z < kz; ++z) {
-        log_post[static_cast<size_t>(z)] += row[static_cast<size_t>(z)];
-      }
-    }
-  } else {
+  // Word term: gather |doc| contiguous word-major log-phi rows, added in
+  // document order on top of the prior.
+  for (WordId w : doc.words) {
+    const auto row = index_.WordLogPhi(w);
     for (int z = 0; z < kz; ++z) {
-      const auto phi = index_.TopicWords(z);
-      double lp = log_post[static_cast<size_t>(z)];
-      for (WordId w : doc.words) {
-        lp += std::log(std::max(phi[static_cast<size_t>(w)], 1e-300));
-      }
-      log_post[static_cast<size_t>(z)] = lp;
+      log_post[static_cast<size_t>(z)] += row[static_cast<size_t>(z)];
     }
   }
   SoftmaxInPlace(&log_post);
@@ -219,32 +172,16 @@ double QueryEngine::CommunityScore(UserId u, UserId v, int z) const {
   const auto pi_v = index_.Membership(v);
   const int kc = index_.num_communities();
   double score = 0.0;
-  if (index_.has_scoring_tables()) {
-    // Fused rows G[c][z][c2] = eta(c,c2,z)*theta_c2[z]: the inner loop is
-    // one contiguous dot with pi_v, the same ((eta*theta)*pi_v) grouping
-    // as the reference below.
-    for (int c = 0; c < kc; ++c) {
-      const double left = pi_u[static_cast<size_t>(c)] *
-                          index_.ContentProfile(c)[static_cast<size_t>(z)];
-      if (left == 0.0) continue;
-      const auto row = index_.EtaThetaRow(c, z);
-      double inner = 0.0;
-      for (int c2 = 0; c2 < kc; ++c2) {
-        inner += row[static_cast<size_t>(c2)] * pi_v[static_cast<size_t>(c2)];
-      }
-      score += left * inner;
-    }
-    return score;
-  }
+  // Fused rows G[c][z][c2] = eta(c,c2,z)*theta_c2[z]: the inner loop is one
+  // contiguous dot with pi_v, in ((eta*theta)*pi_v) grouping.
   for (int c = 0; c < kc; ++c) {
     const double left = pi_u[static_cast<size_t>(c)] *
                         index_.ContentProfile(c)[static_cast<size_t>(z)];
     if (left == 0.0) continue;
+    const auto row = index_.EtaThetaRow(c, z);
     double inner = 0.0;
     for (int c2 = 0; c2 < kc; ++c2) {
-      inner += index_.Eta(c, c2, z) *
-               index_.ContentProfile(c2)[static_cast<size_t>(z)] *
-               pi_v[static_cast<size_t>(c2)];
+      inner += row[static_cast<size_t>(c2)] * pi_v[static_cast<size_t>(c2)];
     }
     score += left * inner;
   }
@@ -267,6 +204,14 @@ StatusOr<DiffusionResponse> QueryEngine::Diffusion(
     return Status::FailedPrecondition(
         "diffusion queries need a bound social graph (document words and "
         "degree features)");
+  }
+  // The degree features read the graph, which is bound independently of the
+  // model: a user valid for the index may still lie outside the graph.
+  for (const UserId u : {request.source, request.target}) {
+    if (static_cast<size_t>(u) >= graph_->num_users()) {
+      return Status::OutOfRange(StrFormat("user %d outside the graph [0, %zu)",
+                                          u, graph_->num_users()));
+    }
   }
   DiffusionResponse response;
   response.friendship_score = FriendshipScore(request.source, request.target);

@@ -15,7 +15,7 @@
 ///     OutOfRange = over a size cap -> 431/413, NotFound = peer closed
 ///     cleanly between messages, IOError = socket error/timeout);
 ///   - HttpClient: a blocking keep-alive loopback client for tests and the
-///     closed-loop load generator (bench/server_load.cc).
+///     closed-loop load generators (bench/obs.cc, perfbench).
 ///
 /// Chunked transfer encoding, TLS, and HTTP/2 are out of scope: the server
 /// fronts an in-process QueryEngine on a trusted network edge, and every

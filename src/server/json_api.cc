@@ -700,8 +700,7 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
   service_json.Set("ingested_users", Json(stats->ingested_users()));
   service_json.Set("ingested_links", Json(stats->ingested_links()));
 
-  // Per-query-type service latency (what bench_query measures client-side):
-  // lifetime counts, histogram-reconstructed p50/p99 microseconds (same
+  // Per-query-type service latency: lifetime counts, histogram-reconstructed p50/p99 microseconds (same
   // buckets /metricsz exposes; <= ~5% relative error).
   Json latency_json = Json::MakeObject();
   for (size_t type = 0; type < ServiceStats::kNumQueryTypes; ++type) {
@@ -730,8 +729,6 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
     model_json.Set("vocab",
                    Json(static_cast<uint64_t>(model->index.vocab_size())));
     model_json.Set("vocabulary_bundled", Json(model->vocabulary != nullptr));
-    model_json.Set("precompute_scoring",
-                   Json(model->index.has_scoring_tables()));
     out.Set("model", std::move(model_json));
   }
 

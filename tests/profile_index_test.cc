@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cpd_model.h"
 #include "core/model_artifact.h"
+#include "core/model_state.h"
 #include "parallel/thread_pool.h"
 #include "serve/profile_index.h"
 #include "serve/query_engine.h"
@@ -363,6 +365,24 @@ TEST_F(ProfileIndexTest, ScoringOnlyIndexSkipsMembershipStructures) {
             StatusCode::kFailedPrecondition);
 }
 
+/// A valid uniform-estimate artifact (2 communities, 2 topics, 1 time bin)
+/// of the given user and vocabulary sizes.
+ModelArtifact UniformArtifact(size_t num_users, size_t vocab_size) {
+  ModelArtifact artifact;
+  artifact.num_communities = 2;
+  artifact.num_topics = 2;
+  artifact.num_users = num_users;
+  artifact.vocab_size = vocab_size;
+  artifact.num_time_bins = 1;
+  artifact.pi.assign(num_users * 2, 0.5);
+  artifact.theta.assign(2 * 2, 0.5);
+  artifact.phi.assign(2 * vocab_size, 1.0 / static_cast<double>(vocab_size));
+  artifact.eta.assign(2 * 2 * 2, 0.5);
+  artifact.weights.assign(kNumDiffusionWeights, 0.0);
+  artifact.popularity.assign(2, 0.5);
+  return artifact;
+}
+
 TEST_F(ProfileIndexTest, QueriesValidateRequests) {
   const ProfileIndex index = ProfileIndex::FromModel(*model_);
   const QueryEngine engine(index);  // No graph bound.
@@ -389,6 +409,29 @@ TEST_F(ProfileIndexTest, QueriesValidateRequests) {
   diffusion.document = 0;
   EXPECT_EQ(engine.Diffusion(diffusion).status().code(),
             StatusCode::kFailedPrecondition);
+
+  // The graph is bound independently of the model (cpd_serve loads --docs
+  // and --model separately; /admin/reload swaps in any model), so ids that
+  // are valid for one may be out of range for the other. The hand graph
+  // has 4 users and a 3-word vocabulary; document 2 uses word 2.
+  const SocialGraph graph = testing::MakeHandGraph();
+  const auto narrow_vocab = ProfileIndex::FromArtifact(UniformArtifact(4, 2));
+  ASSERT_TRUE(narrow_vocab.ok()) << narrow_vocab.status().ToString();
+  const QueryEngine narrow_engine(*narrow_vocab, &graph);
+  EXPECT_EQ(narrow_engine.DocumentTopicPosterior(2).status().code(),
+            StatusCode::kOutOfRange);
+  const auto wide_users = ProfileIndex::FromArtifact(UniformArtifact(8, 3));
+  ASSERT_TRUE(wide_users.ok()) << wide_users.status().ToString();
+  const QueryEngine wide_engine(*wide_users, &graph);
+  serve::DiffusionRequest outside_graph;
+  outside_graph.source = 4;  // Valid for the index, past the graph.
+  outside_graph.target = 0;
+  outside_graph.document = 0;
+  EXPECT_EQ(wide_engine.Diffusion(outside_graph).status().code(),
+            StatusCode::kOutOfRange);
+  std::swap(outside_graph.source, outside_graph.target);
+  EXPECT_EQ(wide_engine.Diffusion(outside_graph).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST_F(ProfileIndexTest, BatchMatchesSequentialAndIsolatesErrors) {

@@ -9,7 +9,11 @@
 #      cannot ship undocumented;
 #   4. every --flag in README.md and docs/*.md must be accepted by some
 #      tools/cpd_*.cc (its kKnownFlags set), so docs cannot keep naming a
-#      removed flag. cmake/ctest flags are allowlisted.
+#      removed flag. cmake/ctest flags are allowlisted;
+#   5. every bench_<name> binary named in README.md, docs/*.md, the verify
+#      skill notes or the CI workflow must have its source bench/<name>.cc
+#      (CMake builds one bench_<name> per bench/*.cc), so docs and CI
+#      cannot keep running a deleted bench driver.
 # Exits non-zero listing every violation.
 
 set -u
@@ -103,8 +107,25 @@ for flag in $doc_flags; do
   fi
 done
 
+# ----- 5. named bench binaries have a bench/<name>.cc -----
+# A match preceded by "." (perfbench's .bench_build directory) or followed
+# by a file extension (bench_common.h) names a path, not a binary.
+bench_docs=$(ls README.md docs/*.md .claude/skills/verify/SKILL.md \
+               .github/workflows/ci.yml 2>/dev/null)
+bench_names=$(grep -ohE '(^|[^A-Za-z0-9_.])bench_[a-z0-9_]+(\.[a-z]+)?' \
+                $bench_docs | sed -E 's/^[^b]*//' | grep -vE '\.[a-z]+$' |
+              sort -u)
+for name in $bench_names; do
+  if [ ! -f "bench/${name#bench_}.cc" ]; then
+    echo "UNKNOWN BENCH: $name (named in the docs or CI, but" \
+         "bench/${name#bench_}.cc does not exist)"
+    failures=1
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (links resolve, every route, metric and flag checked)"
+echo "docs check OK (links resolve, every route, metric, flag and bench" \
+     "binary checked)"

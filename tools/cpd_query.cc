@@ -55,7 +55,7 @@ using cpd::serve::QueryResponse;
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
-               "          [--precompute 1] [--users N --docs docs.tsv "
+               "          [--users N --docs docs.tsv "
                "--friends friends.tsv --diffusion diffusion.tsv]\n"
                "          [--batch queries.txt] [--threads 1]\n"
                "commands: membership <user> [k] | rank <term...> |\n"
@@ -66,7 +66,7 @@ void Usage(const char* argv0) {
 
 const std::set<std::string> kKnownFlags = {
     "model", "vocab", "top_k",     "users",  "docs",
-    "friends", "diffusion", "batch", "threads", "precompute"};
+    "friends", "diffusion", "batch", "threads"};
 
 /// Parses one command line into a typed request. `vocab` may be null (rank
 /// terms are then numeric word ids).
@@ -202,9 +202,6 @@ int main(int argc, char** argv) {
   cpd::serve::ProfileIndexOptions options;
   options.membership_top_k =
       static_cast<int>(int_flag("top_k", options.membership_top_k));
-  // --precompute 0 skips the query-invariant scoring tables (naive
-  // reference kernels; saves (|C|+|V|+|C|^2)*|Z| doubles of index memory).
-  options.precompute_scoring = int_flag("precompute", 1) != 0;
   cpd::WallTimer load_timer;
   auto bundle = cpd::serve::LoadModelBundle(args["model"], options);
   if (!bundle.ok()) {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //   cpd_serve --model model.cpdb [--vocab vocab.tsv] [--top_k 5]
-//             [--precompute 1] [--load_mode mmap|heap]
+//             [--load_mode mmap|heap]
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
 //             [--io_mode epoll|blocking] [--max_connections 1024]
 //             [--coalesce_window_us 0] [--coalesce_max 16]
@@ -65,7 +65,7 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
-               "          [--precompute 1] [--load_mode mmap|heap]\n"
+               "          [--load_mode mmap|heap]\n"
                "          [--port 8080] [--host 127.0.0.1] [--threads 4]\n"
                "          [--io_mode epoll|blocking] [--max_connections "
                "1024]\n"
@@ -85,7 +85,7 @@ const std::set<std::string> kKnownFlags = {
     "threads", "users", "docs",         "friends",     "diffusion",
     "max_inflight",     "deadline_ms",  "warm_iters",  "ingest_threads",
     "ingest_out",       "io_mode",      "max_connections",
-    "coalesce_window_us", "coalesce_max", "precompute",
+    "coalesce_window_us", "coalesce_max",
     "log_level", "metrics", "slow_request_ms",
     "load_mode", "emit_delta"};
 
@@ -139,9 +139,6 @@ int main(int argc, char** argv) {
   cpd::serve::ProfileIndexOptions index_options;
   index_options.membership_top_k =
       static_cast<int>(int_flag("top_k", index_options.membership_top_k));
-  // --precompute 0 serves through the naive reference kernels (saves
-  // (|C|+|V|+|C|^2)*|Z| doubles of index memory per generation).
-  index_options.precompute_scoring = int_flag("precompute", 1) != 0;
   // --load_mode mmap (default) serves the artifact straight off the page
   // cache; heap copies it (the reference path, for network filesystems or
   // a self-contained RSS).
