@@ -4,7 +4,7 @@
 
 namespace cpd {
 
-ArtifactDerived BuildArtifactDerived(const double* const* pi_rows,
+ArtifactDerived BuildArtifactDerived(std::span<const double> pi,
                                      std::span<const double> eta,
                                      int num_communities, int num_topics,
                                      size_t num_users, int top_k) {
@@ -31,18 +31,18 @@ ArtifactDerived BuildArtifactDerived(const double* const* pi_rows,
   derived.topk_weights.assign(num_users * k, 0.0);
   std::vector<int> order(c_count);
   for (size_t u = 0; u < num_users; ++u) {
-    const double* pi = pi_rows[u];
+    const double* row = pi.data() + u * c_count;
     for (size_t c = 0; c < c_count; ++c) order[c] = static_cast<int>(c);
     // Descending weight, ties by ascending community id (matches
     // TopKIndices' stable-sort convention used by CpdModel::TopCommunities).
     std::partial_sort(order.begin(), order.begin() + static_cast<long>(k),
-                      order.end(), [pi](int a, int b) {
-                        if (pi[a] != pi[b]) return pi[a] > pi[b];
+                      order.end(), [row](int a, int b) {
+                        if (row[a] != row[b]) return row[a] > row[b];
                         return a < b;
                       });
     for (size_t i = 0; i < k; ++i) {
       derived.topk_communities[u * k + i] = order[i];
-      derived.topk_weights[u * k + i] = pi[static_cast<size_t>(order[i])];
+      derived.topk_weights[u * k + i] = row[static_cast<size_t>(order[i])];
     }
   }
 
@@ -59,32 +59,20 @@ ArtifactDerived BuildArtifactDerived(const double* const* pi_rows,
   derived.member_weights.reserve(num_users * k);
   for (size_t c = 0; c < c_count; ++c) {
     auto& users = postings[c];
-    std::sort(users.begin(), users.end(),
-              [pi_rows, c](int32_t a, int32_t b) {
-                const double wa = pi_rows[static_cast<size_t>(a)][c];
-                const double wb = pi_rows[static_cast<size_t>(b)][c];
-                if (wa != wb) return wa > wb;
-                return a < b;
-              });
+    const auto weight = [&pi, c_count, c](int32_t u) {
+      return pi[static_cast<size_t>(u) * c_count + c];
+    };
+    std::sort(users.begin(), users.end(), [&weight](int32_t a, int32_t b) {
+      const double wa = weight(a);
+      const double wb = weight(b);
+      if (wa != wb) return wa > wb;
+      return a < b;
+    });
     derived.members.insert(derived.members.end(), users.begin(), users.end());
-    for (const int32_t u : users) {
-      derived.member_weights.push_back(pi_rows[static_cast<size_t>(u)][c]);
-    }
+    for (const int32_t u : users) derived.member_weights.push_back(weight(u));
     derived.member_offsets[c + 1] = derived.members.size();
   }
   return derived;
-}
-
-ArtifactDerived BuildArtifactDerived(std::span<const double> pi,
-                                     std::span<const double> eta,
-                                     int num_communities, int num_topics,
-                                     size_t num_users, int top_k) {
-  std::vector<const double*> rows(num_users);
-  for (size_t u = 0; u < num_users; ++u) {
-    rows[u] = pi.data() + u * static_cast<size_t>(num_communities);
-  }
-  return BuildArtifactDerived(rows.data(), eta, num_communities, num_topics,
-                              num_users, top_k);
 }
 
 }  // namespace cpd

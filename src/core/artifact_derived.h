@@ -5,12 +5,11 @@
 /// The canonical builder of the read-side structures derived from a trained
 /// model's estimates: the topic-aggregated diffusion matrix sum_z eta, the
 /// per-user top-k membership lists, and the per-community member postings.
-/// Exactly one implementation exists so the three consumers can never
+/// Exactly one implementation exists so the two consumers can never
 /// diverge bitwise:
 ///   - serve::ProfileIndex builds them at load time (the reference path);
 ///   - the .cpdb encoder precomputes and *stores* them, so an mmap load
-///     skips the O(U |C| log k) build entirely;
-///   - the delta-apply path rebuilds them over a patched pi.
+///     skips the O(U |C| log k) build entirely.
 /// The orderings are load-bearing: top-k lists are (weight descending, id
 /// ascending) partial sorts and postings are weight-sorted with ascending-id
 /// ties, matching CpdModel::TopCommunities' convention, so a stored and a
@@ -41,17 +40,9 @@ struct ArtifactDerived {
   std::vector<double> member_weights;    ///< pi_{u,c} per posting entry.
 };
 
-/// Builds the derived structures from per-user pi row pointers (row u is
-/// pi_rows[u][0..C)) and the flat eta tensor. Row pointers rather than one
-/// flat span so a copy-on-write delta overlay (touched rows on the heap,
-/// untouched rows in a shared mapping) reuses this builder unchanged.
-/// top_k < 1 skips the membership/posting build (eta_agg only).
-ArtifactDerived BuildArtifactDerived(const double* const* pi_rows,
-                                     std::span<const double> eta,
-                                     int num_communities, int num_topics,
-                                     size_t num_users, int top_k);
-
-/// Convenience overload over a flat row-major pi (U x C).
+/// Builds the derived structures from a flat row-major pi (U x C) and the
+/// flat eta tensor. top_k < 1 skips the membership/posting build (eta_agg
+/// only).
 ArtifactDerived BuildArtifactDerived(std::span<const double> pi,
                                      std::span<const double> eta,
                                      int num_communities, int num_topics,

@@ -91,8 +91,9 @@ class CpdModel {
   /// Pass the training vocabulary to bundle it into the artifact so
   /// cpd_query / cpd_serve need no side --vocab file. `options` picks the
   /// stored top-k and section alignment (default: page-aligned, top-5);
-  /// `generation` stamps the artifact's lineage id so a .cpdd delta can
-  /// name it as its base.
+  /// `generation` stamps the artifact's lineage id (ingest batch N writes
+  /// base + N). The write is atomic: a server mapping the old file at
+  /// `path` keeps serving it until it reloads.
   Status SaveBinary(const std::string& path, const Vocabulary* vocab = nullptr,
                     const ArtifactWriteOptions& options = {},
                     uint64_t generation = 0) const;

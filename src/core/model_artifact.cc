@@ -702,6 +702,11 @@ Status WriteModelArtifact(const std::string& path,
 }
 
 StatusOr<ModelArtifact> ReadModelArtifact(const std::string& path) {
+  // Same status as MappedModelArtifact::Open, so both load modes answer a
+  // missing file alike.
+  if (!FileExists(path)) {
+    return Status::NotFound("cannot open model artifact: " + path);
+  }
   auto contents = ReadFileToString(path);
   if (!contents.ok()) return contents.status();
   auto decoded = DecodeModelArtifact(*contents);

@@ -81,8 +81,8 @@ struct ModelArtifact {
   uint64_t num_users = 0;
   uint64_t vocab_size = 0;
   int32_t num_time_bins = 1;
-  /// Lineage stamp (header field; 0 for cold trains).
-  /// Ingest generation N artifacts carry N so a delta can name its base.
+  /// Lineage stamp (header field; 0 for cold trains, N for the artifact
+  /// of ingest batch N).
   uint64_t generation = 0;
 
   std::vector<double> pi;          ///< U x C, row-major.
@@ -129,7 +129,9 @@ StatusOr<std::string> EncodeModelArtifact(
 /// bytes. Errors name the offending section.
 StatusOr<ModelArtifact> DecodeModelArtifact(const std::string& bytes);
 
-/// Whole-file convenience wrappers around the codec.
+/// Whole-file convenience wrappers around the codec. Writes publish
+/// atomically (temp file + rename; see WriteStringToFile), so a live
+/// mapping of the previous file at `path` stays valid.
 Status WriteModelArtifact(const std::string& path,
                           const ModelArtifact& artifact,
                           const ArtifactWriteOptions& options = {});

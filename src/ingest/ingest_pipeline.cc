@@ -1,13 +1,11 @@
 #include "ingest/ingest_pipeline.h"
 
 #include <cmath>
-#include <string_view>
+#include <filesystem>
 #include <utility>
 
 #include "core/em_trainer.h"
-#include "core/model_delta.h"
 #include "sampling/distributions.h"
-#include "util/file_util.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -118,42 +116,6 @@ StatusOr<IngestResult> IngestPipeline::Ingest(
   return IngestLocked(batch, artifact_path);
 }
 
-namespace {
-
-/// "<base>.cpdb" -> "<base>.cpdd"; any other suffix just gains ".cpdd".
-std::string DeltaPathFor(const std::string& artifact_path) {
-  constexpr std::string_view kSuffix = ".cpdb";
-  if (artifact_path.size() >= kSuffix.size() &&
-      artifact_path.compare(artifact_path.size() - kSuffix.size(),
-                            kSuffix.size(), kSuffix) == 0) {
-    return artifact_path.substr(0, artifact_path.size() - kSuffix.size()) +
-           ".cpdd";
-  }
-  return artifact_path + ".cpdd";
-}
-
-/// Copies `vocab` into the artifact's bundled-vocabulary fields (the delta
-/// diff needs in-memory artifacts shaped exactly like the files on disk).
-Status BundleVocabulary(const Vocabulary& vocab, ModelArtifact* artifact) {
-  if (vocab.size() != artifact->vocab_size) {
-    return Status::Internal(
-        StrFormat("ingest delta: vocabulary has %zu words, artifact expects "
-                  "%llu",
-                  vocab.size(),
-                  static_cast<unsigned long long>(artifact->vocab_size)));
-  }
-  artifact->vocab_words.reserve(vocab.size());
-  artifact->vocab_frequencies.reserve(vocab.size());
-  for (size_t w = 0; w < vocab.size(); ++w) {
-    artifact->vocab_words.push_back(vocab.WordOf(static_cast<WordId>(w)));
-    artifact->vocab_frequencies.push_back(
-        vocab.Frequency(static_cast<WordId>(w)));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 StatusOr<IngestResult> IngestPipeline::IngestLocked(
     const UpdateBatch& batch, const std::string& artifact_path) {
   WallTimer total_timer;
@@ -187,29 +149,13 @@ StatusOr<IngestResult> IngestPipeline::IngestLocked(
                                        trainer.state(), trainer.stats());
   const uint64_t generation = options_.base_generation + sequence_ + 1;
   WallTimer save_timer;
-  {
-    ModelArtifact target = model.ToArtifact();
-    target.generation = generation;
-    CPD_RETURN_IF_ERROR(
-        BundleVocabulary(applied->graph.corpus().vocabulary(), &target));
-    auto encoded = EncodeModelArtifact(target);
-    if (!encoded.ok()) return encoded.status();
-    CPD_RETURN_IF_ERROR(WriteStringToFile(artifact_path, *encoded));
-    result.artifact_bytes = encoded->size();
-    if (options_.write_delta) {
-      ModelArtifact base = model_->ToArtifact();
-      base.generation = options_.base_generation + sequence_;
-      CPD_RETURN_IF_ERROR(
-          BundleVocabulary(graph_->corpus().vocabulary(), &base));
-      auto delta = BuildModelDelta(base, target);
-      if (!delta.ok()) return delta.status();
-      auto delta_bytes = EncodeModelDelta(*delta);
-      if (!delta_bytes.ok()) return delta_bytes.status();
-      result.delta_path = DeltaPathFor(artifact_path);
-      CPD_RETURN_IF_ERROR(
-          WriteStringToFile(result.delta_path, *delta_bytes));
-      result.delta_bytes = delta_bytes->size();
-    }
+  CPD_RETURN_IF_ERROR(model.SaveBinary(
+      artifact_path, &applied->graph.corpus().vocabulary(), {}, generation));
+  std::error_code size_error;
+  result.artifact_bytes = std::filesystem::file_size(artifact_path, size_error);
+  if (size_error) {
+    return Status::IOError("cannot stat " + artifact_path + ": " +
+                           size_error.message());
   }
   result.save_seconds = save_timer.ElapsedSeconds();
 

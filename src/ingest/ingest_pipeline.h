@@ -53,16 +53,10 @@ struct IngestOptions {
   std::string artifact_base;
 
   /// Lineage stamp of the artifact the pipeline was created from; batch N
-  /// writes its artifact with generation base_generation + N, so deltas
-  /// chain off the cold artifact a server already maps.
+  /// writes its artifact with generation base_generation + N, so every
+  /// published generation is numbered after the cold artifact a server
+  /// already maps.
   uint64_t base_generation = 0;
-
-  /// Also diff each batch against the previous generation and write the
-  /// ".cpdd" delta (model_delta.h) next to the full artifact — same path
-  /// with the ".cpdb" suffix swapped for ".cpdd" (appended when the path
-  /// has some other suffix). A server then ships O(touched users) bytes
-  /// per generation instead of the whole pi matrix.
-  bool write_delta = false;
 };
 
 /// Outcome of one applied batch.
@@ -71,11 +65,6 @@ struct IngestResult {
   uint64_t sequence = 0;  ///< 1 for the first batch, monotonically rising.
   /// Lineage stamp written into the artifact (base_generation + sequence).
   uint64_t generation = 0;
-  /// "" unless IngestOptions::write_delta; then the ".cpdd" written
-  /// alongside, and its size (vs. the full artifact's bytes, for the
-  /// shipped-bytes win of delta publication).
-  std::string delta_path;
-  size_t delta_bytes = 0;
   size_t artifact_bytes = 0;
   IngestCounts counts;
   size_t num_users = 0;      ///< Merged graph totals after the batch.

@@ -56,7 +56,7 @@ StatusOr<ProfileIndex> ProfileIndex::FromArtifact(
   index.eta_store_ = std::move(artifact.eta);
   index.weights_store_ = std::move(artifact.weights);
   index.popularity_store_ = std::move(artifact.popularity);
-  index.BuildPiRows(index.pi_store_.data());
+  index.pi_ = index.pi_store_;
   index.theta_ = index.theta_store_;
   index.phi_ = index.phi_store_;
   index.eta_ = index.eta_store_;
@@ -84,7 +84,7 @@ StatusOr<ProfileIndex> ProfileIndex::FromMapped(
   index.vocab_size_ = static_cast<size_t>(mapped->vocab_size());
   index.num_time_bins_ = mapped->num_time_bins();
   index.generation_ = mapped->generation();
-  index.BuildPiRows(mapped->pi().data());
+  index.pi_ = mapped->pi();
   index.theta_ = mapped->theta();
   index.phi_ = mapped->phi();
   index.eta_ = mapped->eta();
@@ -115,81 +115,6 @@ StatusOr<ProfileIndex> ProfileIndex::FromMapped(
         index.num_topics_, index.num_users_, wanted_k);
     index.AdoptDerived(std::move(derived));
   }
-  index.BuildScoringTables();
-  index.mapped_ = std::move(mapped);
-  return index;
-}
-
-StatusOr<ProfileIndex> ProfileIndex::FromMappedWithDelta(
-    std::shared_ptr<const MappedModelArtifact> mapped,
-    const ModelDelta& delta, const ProfileIndexOptions& options) {
-  if (mapped == nullptr) {
-    return Status::InvalidArgument("FromMappedWithDelta: null mapping");
-  }
-  if (options.membership_top_k < 1) {
-    return Status::InvalidArgument("membership_top_k < 1");
-  }
-  CPD_RETURN_IF_ERROR(delta.Validate());
-  if (mapped->generation() != delta.base_generation) {
-    return Status::FailedPrecondition(StrFormat(
-        "model delta: patches generation %llu but the mapped artifact is "
-        "generation %llu",
-        static_cast<unsigned long long>(delta.base_generation),
-        static_cast<unsigned long long>(mapped->generation())));
-  }
-  if (mapped->num_communities() != delta.num_communities ||
-      mapped->num_topics() != delta.num_topics ||
-      mapped->num_time_bins() != delta.num_time_bins) {
-    return Status::InvalidArgument(
-        "model delta: base artifact disagrees on |C|/|Z|/T");
-  }
-  if (mapped->num_users() != delta.base_num_users ||
-      mapped->vocab_size() != delta.base_vocab_size) {
-    return Status::InvalidArgument(StrFormat(
-        "model delta: expects a base with |U|=%llu |W|=%llu, got |U|=%llu "
-        "|W|=%llu",
-        static_cast<unsigned long long>(delta.base_num_users),
-        static_cast<unsigned long long>(delta.base_vocab_size),
-        static_cast<unsigned long long>(mapped->num_users()),
-        static_cast<unsigned long long>(mapped->vocab_size())));
-  }
-  ProfileIndex index;
-  index.options_ = options;
-  index.num_communities_ = delta.num_communities;
-  index.num_topics_ = delta.num_topics;
-  index.num_users_ = static_cast<size_t>(delta.num_users);
-  index.vocab_size_ = static_cast<size_t>(delta.vocab_size);
-  index.num_time_bins_ = delta.num_time_bins;
-  index.generation_ = delta.generation;
-  // Copy-on-write pi: every untouched row keeps aliasing the shared
-  // mapping; only the delta's packed rows occupy new heap. Users new in
-  // this generation have no base row — delta.Validate() guarantees each
-  // is touched, so every slot gets a pointer below.
-  index.delta_pi_store_ = delta.touched_pi;
-  index.pi_rows_.assign(index.num_users_, nullptr);
-  const double* base_pi = mapped->pi().data();
-  for (size_t u = 0; u < static_cast<size_t>(delta.base_num_users); ++u) {
-    index.pi_rows_[u] = base_pi + u * index.kc();
-  }
-  for (size_t i = 0; i < delta.touched_users.size(); ++i) {
-    index.pi_rows_[static_cast<size_t>(delta.touched_users[i])] =
-        index.delta_pi_store_.data() + i * index.kc();
-  }
-  // The globals are O(|C||Z| + |Z||W|) and fully refreshed every sweep, so
-  // the delta ships them whole; adopt copies.
-  index.theta_store_ = delta.theta;
-  index.phi_store_ = delta.phi;
-  index.eta_store_ = delta.eta;
-  index.weights_store_ = delta.weights;
-  index.popularity_store_ = delta.popularity;
-  index.theta_ = index.theta_store_;
-  index.phi_ = index.phi_store_;
-  index.eta_ = index.eta_store_;
-  index.weights_ = index.weights_store_;
-  index.popularity_ = index.popularity_store_;
-  // eta and pi both changed, so the stored derived sections describe the
-  // base generation — rebuild over the overlay.
-  index.RebuildDerived();
   index.BuildScoringTables();
   index.mapped_ = std::move(mapped);
   return index;
@@ -230,21 +155,13 @@ StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
   return ModelBundle{std::move(*index), std::move(*vocabulary)};
 }
 
-void ProfileIndex::BuildPiRows(const double* pi) {
-  pi_rows_.resize(num_users_);
-  for (size_t u = 0; u < num_users_; ++u) {
-    pi_rows_[u] = pi + u * kc();
-  }
-}
-
 void ProfileIndex::RebuildDerived() {
   const int wanted_k = options_.build_membership_index
                            ? std::min(options_.membership_top_k,
                                       num_communities_)
                            : 0;
-  ArtifactDerived derived =
-      BuildArtifactDerived(pi_rows_.data(), eta_, num_communities_,
-                           num_topics_, num_users_, wanted_k);
+  ArtifactDerived derived = BuildArtifactDerived(
+      pi_, eta_, num_communities_, num_topics_, num_users_, wanted_k);
   AdoptDerived(std::move(derived));
 }
 

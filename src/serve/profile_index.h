@@ -12,16 +12,13 @@
 ///   - per-community member postings (users assigned by top-k membership,
 ///     sorted by descending membership weight),
 ///   - the topic-aggregated diffusion matrix sum_z eta_{c,c',z}.
-/// Three construction paths produce bit-identical query answers for the
+/// Two construction paths produce bit-identical query answers for the
 /// same trained estimates:
 ///   - FromModel / FromArtifact copy the matrices onto the heap (the
 ///     reference path);
 ///   - FromMapped serves the spans straight out of an mmap'd artifact —
 ///     zero rows copied, the kernel pages the file in on demand, reload is
-///     O(1) in the model size, and N live generations share clean pages;
-///   - FromMappedWithDelta overlays a .cpdd delta copy-on-write over a
-///     mapped base: touched pi rows live on the heap, untouched rows keep
-///     pointing into the shared mapping.
+///     O(1) in the model size, and N live generations share clean pages.
 
 #include <cstdint>
 #include <memory>
@@ -30,7 +27,6 @@
 #include <vector>
 
 #include "core/model_artifact.h"
-#include "core/model_delta.h"
 #include "graph/social_graph.h"
 #include "util/status.h"
 
@@ -108,15 +104,6 @@ class ProfileIndex {
       std::shared_ptr<const MappedModelArtifact> mapped,
       const ProfileIndexOptions& options = {});
 
-  /// Copy-on-write overlay of a .cpdd delta over a mapped base: the
-  /// delta's touched pi rows (and the full refreshed globals) live on the
-  /// heap, every untouched pi row keeps pointing into the shared mapping.
-  /// FailedPrecondition when mapped->generation() !=
-  /// delta.base_generation.
-  static StatusOr<ProfileIndex> FromMappedWithDelta(
-      std::shared_ptr<const MappedModelArtifact> mapped,
-      const ModelDelta& delta, const ProfileIndexOptions& options = {});
-
   /// Loads a ".cpdb" artifact, mapped or copied per options.load_mode.
   static StatusOr<ProfileIndex> LoadFromFile(const std::string& path,
                                              const ProfileIndexOptions& options = {});
@@ -137,21 +124,16 @@ class ProfileIndex {
   int membership_top_k() const { return options_.membership_top_k; }
   bool heterogeneous_links() const { return options_.heterogeneous_links; }
 
-  /// Lineage stamp of the backing artifact (0 for cold trains); a delta
-  /// reload must name this generation.
+  /// Lineage stamp of the backing artifact (0 for cold trains).
   uint64_t artifact_generation() const { return generation_; }
 
-  /// Non-null when the index serves off an mmap'd artifact (possibly with
-  /// a delta overlay); the registry patches deltas through this.
-  const std::shared_ptr<const MappedModelArtifact>& mapped_artifact() const {
-    return mapped_;
-  }
+  /// True when the index serves off an mmap'd artifact.
   bool is_mmap_backed() const { return mapped_ != nullptr; }
 
   // ----- row views (valid for the life of the index) -----
   /// pi_u over communities.
   std::span<const double> Membership(UserId u) const {
-    return {pi_rows_[static_cast<size_t>(u)], kc()};
+    return pi_.subspan(static_cast<size_t>(u) * kc(), kc());
   }
   /// theta_c over topics.
   std::span<const double> ContentProfile(int c) const {
@@ -260,8 +242,6 @@ class ProfileIndex {
   size_t kc() const { return static_cast<size_t>(num_communities_); }
   size_t kz() const { return static_cast<size_t>(num_topics_); }
 
-  /// Points pi_rows_[u] at row u of a flat pi matrix.
-  void BuildPiRows(const double* pi);
   /// Builds link_content_ / word_log_phi_ / eta_theta_ from the estimate
   /// spans.
   void BuildScoringTables();
@@ -289,8 +269,7 @@ class ProfileIndex {
   // Owned backing stores; empty whenever the matching span aliases the
   // mapping instead. Spans stay valid across moves because vector buffers
   // are heap-stable.
-  std::vector<double> pi_store_;          // U x C (heap loads)
-  std::vector<double> delta_pi_store_;    // touched rows (delta overlay)
+  std::vector<double> pi_store_;
   std::vector<double> theta_store_;
   std::vector<double> phi_store_;
   std::vector<double> eta_store_;
@@ -298,9 +277,7 @@ class ProfileIndex {
   std::vector<double> weights_store_;
   std::vector<double> popularity_store_;
 
-  /// Row u of pi — into pi_store_, the mapping, or (delta overlay) a mix
-  /// of delta_pi_store_ and the mapping.
-  std::vector<const double*> pi_rows_;
+  std::span<const double> pi_;          // U x C
   std::span<const double> theta_;       // C x Z
   std::span<const double> phi_;         // Z x W
   std::span<const double> eta_;         // C x C x Z
@@ -335,8 +312,7 @@ struct ModelBundle {
 /// Loads a model file like ProfileIndex::LoadFromFile but also surfaces the
 /// bundled vocabulary when the artifact carries one. options.load_mode
 /// picks the materialization; both modes reject a malformed file with the
-/// same ParseV3Layout status. A missing file is NotFound under kMmap and
-/// IOError under kHeap.
+/// same ParseV3Layout status, and a missing file with the same NotFound.
 StatusOr<ModelBundle> LoadModelBundle(const std::string& path,
                                       const ProfileIndexOptions& options = {});
 

@@ -870,30 +870,31 @@ HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
   return response;
 }
 
-/// POST /admin/reload: re-read the current artifact, switch to the "path"
-/// in the body, or patch the serving model with a ".cpdd" via "delta"
-/// (mutually exclusive with "path"); an optional "model" field addresses
-/// (or registers) a named model. In-flight requests keep their pre-swap
-/// snapshot.
+/// POST /admin/reload: re-read the current artifact, or switch to the
+/// "path" in the body; an optional "model" field addresses (or registers) a
+/// named model. The body, when present, must be an object with no other
+/// key. In-flight requests keep their pre-swap snapshot.
 HttpResponse HandleReload(const HttpRequest& http_request,
                           ModelRegistry* registry) {
   std::string path;
-  std::string delta_path;
   std::string name = kDefaultModel;
   if (!http_request.body.empty()) {
     auto json = Json::Parse(http_request.body);
     if (!json.ok()) return ErrorResponse(json.status());
+    if (!json->is_object()) {
+      return ErrorResponse(Status::InvalidArgument(
+          "reload body must be a JSON object with optional 'path' and "
+          "'model' fields"));
+    }
+    for (const auto& [key, value] : json->fields()) {
+      if (key != "path" && key != "model") {
+        return ErrorResponse(Status::InvalidArgument(
+            "unknown reload field '" + key + "' (expected 'path' or 'model')"));
+      }
+    }
     auto parsed = json->GetString("path", "");
     if (!parsed.ok()) return ErrorResponse(parsed.status());
     path = *parsed;
-    auto delta = json->GetString("delta", "");
-    if (!delta.ok()) return ErrorResponse(delta.status());
-    delta_path = *delta;
-    if (!path.empty() && !delta_path.empty()) {
-      return ErrorResponse(Status::InvalidArgument(
-          "fields 'path' and 'delta' are mutually exclusive (a delta "
-          "patches the model already serving)"));
-    }
     auto model = json->GetString("model", kDefaultModel);
     if (!model.ok()) return ErrorResponse(model.status());
     name = *model;
@@ -904,14 +905,12 @@ HttpResponse HandleReload(const HttpRequest& http_request,
   }
   if (path.empty() && registry->path(name).empty()) {
     // Addressing a name that was never loaded is a client error, not a
-    // server-side load failure (a delta also needs a base to patch).
+    // server-side load failure.
     return ErrorResponse(Status::FailedPrecondition("no model named '" +
                                                     name + "' loaded yet"));
   }
   const Status status =
-      !delta_path.empty() ? registry->LoadDeltaFrom(name, delta_path)
-      : path.empty()      ? registry->Reload(name)
-                          : registry->LoadFrom(name, path);
+      path.empty() ? registry->Reload(name) : registry->LoadFrom(name, path);
   if (!status.ok()) {
     // A failed reload is a server-side problem and the old model keeps
     // serving; surface it as 500 — except a file that does not exist, which
@@ -924,7 +923,6 @@ HttpResponse HandleReload(const HttpRequest& http_request,
   out.Set("name", Json(name));
   out.Set("generation", Json(registry->generation(name)));
   out.Set("model", Json(registry->path(name)));
-  if (!delta_path.empty()) out.Set("delta", Json(delta_path));
   return JsonResponse(200, out);
 }
 
@@ -981,21 +979,7 @@ HttpResponse HandleIngest(const HttpRequest& http_request,
   }
   const std::shared_ptr<const SocialGraph> previous_graph = registry->graph();
   registry->SetGraph(pipeline->graph());
-  // Prefer shipping the delta when the pipeline wrote one and the serving
-  // model is exactly the generation it patches (an mmap-backed model then
-  // swaps copy-on-write instead of rebuilding); anything else — no delta,
-  // lineage drift, a failed patch — falls back to the full artifact.
-  Status swapped = Status::InvalidArgument("delta not applicable");
-  bool via_delta = false;
-  if (!result->delta_path.empty()) {
-    const auto snapshot = registry->Snapshot(name);
-    if (snapshot != nullptr &&
-        snapshot->index.artifact_generation() + 1 == result->generation) {
-      swapped = registry->LoadDeltaFrom(name, result->delta_path);
-      via_delta = swapped.ok();
-    }
-  }
-  if (!via_delta) swapped = registry->LoadFrom(name, result->artifact_path);
+  const Status swapped = registry->LoadFrom(name, result->artifact_path);
   if (!swapped.ok()) {
     // The artifact was produced but could not be served; the previous
     // generation keeps serving (same contract as a failed /admin/reload),
@@ -1025,10 +1009,6 @@ HttpResponse HandleIngest(const HttpRequest& http_request,
   out.Set("name", Json(name));
   out.Set("generation", Json(registry->generation(name)));
   out.Set("model", Json(result->artifact_path));
-  if (!result->delta_path.empty()) {
-    out.Set("delta", Json(result->delta_path));
-    out.Set("swapped_via_delta", Json(via_delta));
-  }
   out.Set("sequence", Json(result->sequence));
   out.Set("ingested", std::move(ingested));
   out.Set("warm_seconds", Json(result->warm_seconds));

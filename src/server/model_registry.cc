@@ -117,132 +117,6 @@ Status ModelRegistry::LoadFrom(const std::string& name,
   return Status::OK();
 }
 
-StatusOr<std::shared_ptr<ServingModel>> ModelRegistry::BuildPatchedModel(
-    const ServingModel& prev, const std::string& delta_path) {
-  auto decoded = ReadModelDelta(delta_path);
-  if (!decoded.ok()) return decoded.status();
-  if (decoded->base_generation != prev.index.artifact_generation()) {
-    return Status::FailedPrecondition(StrFormat(
-        "delta %s patches generation %llu but model '%s' serves generation "
-        "%llu",
-        delta_path.c_str(),
-        static_cast<unsigned long long>(decoded->base_generation),
-        prev.name.c_str(),
-        static_cast<unsigned long long>(prev.index.artifact_generation())));
-  }
-  ModelDelta composed;
-  if (prev.applied_delta != nullptr) {
-    auto merged = ComposeModelDeltas(*prev.applied_delta, *decoded);
-    if (!merged.ok()) return merged.status();
-    composed = std::move(*merged);
-  } else {
-    composed = std::move(*decoded);
-  }
-
-  std::shared_ptr<ServingModel> model;
-  const auto& mapped = prev.index.mapped_artifact();
-  if (mapped != nullptr && mapped->generation() == composed.base_generation) {
-    // Copy-on-write over the shared mapping: untouched pi rows stay in the
-    // page cache, only touched rows + the (|U|-independent) globals copy.
-    auto index =
-        serve::ProfileIndex::FromMappedWithDelta(mapped, composed, options_);
-    if (!index.ok()) return index.status();
-    model = std::make_shared<ServingModel>(std::move(*index));
-    if (composed.has_vocabulary()) {
-      Vocabulary base_vocab;
-      CPD_RETURN_IF_ERROR(mapped->BuildVocabulary(&base_vocab));
-      auto vocab = std::make_shared<Vocabulary>();
-      for (size_t w = 0; w < base_vocab.size(); ++w) {
-        vocab->GetOrAdd(base_vocab.WordOf(static_cast<WordId>(w)));
-      }
-      for (const std::string& word : composed.appended_words) {
-        vocab->GetOrAdd(word);
-      }
-      if (vocab->size() != composed.vocab_size) {
-        return Status::InvalidArgument(
-            "model delta: an appended word collides with the base "
-            "vocabulary");
-      }
-      for (size_t w = 0; w < composed.vocab_frequencies.size(); ++w) {
-        vocab->CountOccurrence(static_cast<WordId>(w),
-                               composed.vocab_frequencies[w]);
-      }
-      model->vocabulary = std::move(vocab);
-    }
-  } else {
-    // Heap path: re-read the base artifact and patch it whole. Reached
-    // when the base was heap-loaded (load_mode=heap).
-    auto base = ReadModelArtifact(prev.source_path);
-    if (!base.ok()) return base.status();
-    auto patched = ApplyModelDelta(*base, composed);
-    if (!patched.ok()) return patched.status();
-    std::shared_ptr<Vocabulary> vocab;
-    if (patched->has_vocabulary()) {
-      vocab = std::make_shared<Vocabulary>();
-      CPD_RETURN_IF_ERROR(patched->BuildVocabulary(vocab.get()));
-    }
-    auto index =
-        serve::ProfileIndex::FromArtifact(std::move(*patched), options_);
-    if (!index.ok()) return index.status();
-    model = std::make_shared<ServingModel>(std::move(*index));
-    model->vocabulary = std::move(vocab);
-  }
-  model->delta_path = delta_path;
-  model->applied_delta =
-      std::make_shared<const ModelDelta>(std::move(composed));
-  return model;
-}
-
-Status ModelRegistry::LoadDeltaFrom(const std::string& name,
-                                    const std::string& delta_path) {
-  if (name.empty()) {
-    return Status::InvalidArgument("model name must not be empty");
-  }
-  std::lock_guard<std::mutex> lock(reload_mutex_);
-  const auto prev = Snapshot(name);
-  if (prev == nullptr) {
-    reload_failures_.fetch_add(1, std::memory_order_acq_rel);
-    return Status::FailedPrecondition("no model named '" + name +
-                                      "' loaded yet (a delta needs a base)");
-  }
-  WallTimer timer;
-  auto built = BuildPatchedModel(*prev, delta_path);
-  if (!built.ok()) {
-    reload_failures_.fetch_add(1, std::memory_order_acq_rel);
-    CPD_LOG(Error) << "delta load from " << delta_path << " into '" << name
-                   << "' failed: " << built.status().ToString()
-                   << " (previous model keeps serving)";
-    return built.status();
-  }
-  auto model = std::move(*built);
-  if (vocab_override_ != nullptr) model->vocabulary = vocab_override_;
-  model->graph = graph_;  // Pinned: this generation owns a reference.
-  model->engine = std::make_unique<const serve::QueryEngine>(
-      model->index, model->graph.get());
-  model->name = name;
-  model->source_path = prev->source_path;
-  model->loaded_unix_ms = clock_();
-  {
-    std::lock_guard<std::mutex> swap_lock(current_mutex_);
-    auto& cell = current_[name];
-    model->generation = (cell == nullptr ? 0 : cell->generation) + 1;
-    cell = std::move(model);
-  }
-  reload_count_.fetch_add(1, std::memory_order_acq_rel);
-  const auto loaded = Snapshot(name);
-  CPD_LOG(Info) << "serving model '" << name << "' generation "
-                << loaded->generation << " from " << loaded->source_path
-                << " + delta " << delta_path << " ("
-                << StrFormat("%.0f", timer.ElapsedMillis()) << " ms: "
-                << (loaded->index.is_mmap_backed() ? "copy-on-write"
-                                                   : "heap rebuild")
-                << ", touched "
-                << loaded->applied_delta->touched_users.size() << "/"
-                << loaded->index.num_users() << " users, lineage generation "
-                << loaded->index.artifact_generation() << ")";
-  return Status::OK();
-}
-
 Status ModelRegistry::Reload(const std::string& name) {
   const std::string current_path = path(name);
   if (current_path.empty()) {

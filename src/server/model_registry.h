@@ -74,14 +74,6 @@ struct ServingModel {
   uint64_t generation = 0;     ///< Per-name load counter (first load = 1).
   std::string source_path;
   int64_t loaded_unix_ms = 0;  ///< Registry clock at load time (statsz).
-
-  /// Last ".cpdd" applied by LoadDeltaFrom ("" for full loads).
-  std::string delta_path;
-  /// The composed delta chain between the base artifact at source_path and
-  /// this generation's estimates (null for full loads). The next
-  /// LoadDeltaFrom composes onto it, so one mapped base artifact serves an
-  /// arbitrarily long delta chain copy-on-write.
-  std::shared_ptr<const ModelDelta> applied_delta;
 };
 
 /// One row of GET /v1/models (name-sorted).
@@ -112,22 +104,9 @@ class ModelRegistry {
     return LoadFrom(kDefaultModel, path);
   }
 
-  /// Re-reads `name`'s current path (artifact replaced in place on disk).
+  /// Re-reads `name`'s current path (a newer artifact published there).
   Status Reload(const std::string& name);
   Status Reload() { return Reload(kDefaultModel); }
-
-  /// Patches `name`'s serving model with a ".cpdd" delta artifact. The
-  /// delta must name the serving generation's lineage stamp
-  /// (index.artifact_generation()) as its base. When the current model is
-  /// mmap-backed the new generation shares the mapped base — only touched
-  /// pi rows and the refreshed globals are copied — else the base artifact
-  /// is re-read from source_path and patched on the heap. Same
-  /// load-then-swap guarantee as LoadFrom: a failed delta leaves the
-  /// previous model serving.
-  Status LoadDeltaFrom(const std::string& name, const std::string& delta_path);
-  Status LoadDeltaFrom(const std::string& delta_path) {
-    return LoadDeltaFrom(kDefaultModel, delta_path);
-  }
 
   /// Snapshot for one request; null when the name has never loaded.
   std::shared_ptr<const ServingModel> Snapshot(const std::string& name) const;
@@ -170,12 +149,6 @@ class ModelRegistry {
   std::string path(const std::string& name) const;
 
  private:
-  /// Reads, composes, and applies the delta; fills index, vocabulary,
-  /// delta_path, and applied_delta (the caller binds graph/engine/name and
-  /// swaps). Caller holds reload_mutex_.
-  StatusOr<std::shared_ptr<ServingModel>> BuildPatchedModel(
-      const ServingModel& prev, const std::string& delta_path);
-
   serve::ProfileIndexOptions options_;
 
   mutable std::mutex reload_mutex_;  ///< Serializes loads; readers skip it.

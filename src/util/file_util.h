@@ -14,7 +14,10 @@ namespace cpd {
 /// Reads the entire file into a string.
 StatusOr<std::string> ReadFileToString(const std::string& path);
 
-/// Writes (truncates) the file with the given contents.
+/// Replaces the file with the given contents atomically: the bytes go to a
+/// sibling temp file that is fsync'd and then renamed over `path`. Readers
+/// (and mappings) of the previous file keep seeing its old contents; on
+/// failure `path` is untouched and no temp file is left behind.
 Status WriteStringToFile(const std::string& path, const std::string& contents);
 
 /// Reads all lines (without trailing newlines).

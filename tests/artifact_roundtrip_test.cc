@@ -1,4 +1,4 @@
-// Round-trip properties of the artifact and delta codecs, over seeded
+// Round-trip properties of the artifact codec, over seeded
 // random models instead of one trained fixture, plus models with an empty
 // section (|U| = 0 or |W| = 0, which the encoder writes and Validate()
 // accepts):
@@ -8,21 +8,22 @@
 //     file bitwise (the SaveBinary -> mmap load -> SaveBinary property);
 //   - the encoder's bytes for two fixed artifacts match golden hashes, so
 //     files already on disk keep loading;
-//   - delta application is order-stable: applying a chain one delta at a
-//     time, or as one ComposeModelDeltas merge, lands on bitwise the same
-//     artifact, and composition itself is associative on the wire.
+//   - republishing over a path is atomic: a live mapping of the old file
+//     keeps its bytes, and a failed write leaves no temp file behind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <filesystem>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/model_artifact.h"
-#include "core/model_delta.h"
 #include "core/model_state.h"
 #include "util/file_util.h"
 #include "util/logging.h"
@@ -77,47 +78,6 @@ ModelArtifact MakeRandomArtifact(std::mt19937_64* rng, bool with_vocab) {
   }
   CPD_CHECK(artifact.Validate().ok());
   return artifact;
-}
-
-/// The next generation of `base`, the way an ingest batch would move it:
-/// a random subset of pi rows retouched, zero or more users and (when a
-/// vocabulary is bundled) words appended, every global estimate refreshed,
-/// the whole frequency table drifted, generation bumped by one.
-ModelArtifact RandomSuccessor(std::mt19937_64* rng,
-                              const ModelArtifact& base) {
-  std::uniform_int_distribution<int> coin(0, 3);
-  ModelArtifact next = base;
-  next.generation = base.generation + 1;
-
-  const size_t c = static_cast<size_t>(base.num_communities);
-  for (uint64_t u = 0; u < base.num_users; ++u) {
-    if (coin(*rng) == 0) {
-      for (size_t i = 0; i < c; ++i) next.pi[u * c + i] = RandomValue(rng);
-    }
-  }
-  const int new_users = coin(*rng) % 3;
-  for (int n = 0; n < new_users; ++n) {
-    for (size_t i = 0; i < c; ++i) next.pi.push_back(RandomValue(rng));
-    next.num_users += 1;
-  }
-
-  const int new_words = base.has_vocabulary() ? coin(*rng) % 3 : 0;
-  next.vocab_size += static_cast<uint64_t>(new_words);
-  for (int n = 0; n < new_words; ++n) {
-    next.vocab_words.push_back("g" + std::to_string(next.generation) + "w" +
-                               std::to_string(n));
-    next.vocab_frequencies.push_back(static_cast<int64_t>((*rng)() % 1000));
-  }
-  for (int64_t& frequency : next.vocab_frequencies) ++frequency;
-
-  const size_t z = static_cast<size_t>(base.num_topics);
-  FillRandom(rng, &next.phi, z * next.vocab_size);
-  FillRandom(rng, &next.theta, next.theta.size());
-  FillRandom(rng, &next.eta, next.eta.size());
-  FillRandom(rng, &next.weights, next.weights.size());
-  FillRandom(rng, &next.popularity, next.popularity.size());
-  CPD_CHECK(next.Validate().ok());
-  return next;
 }
 
 /// Random artifacts whose pi (|U| = 0) or phi (|W| = 0) section is empty:
@@ -280,88 +240,68 @@ TEST(ArtifactRoundtripTest, EncoderBytesMatchGoldenHashes) {
   }
 }
 
-TEST(ArtifactRoundtripTest, DeltaCodecRoundTripsByteStable) {
-  std::vector<std::pair<ModelArtifact, ModelArtifact>> lineages;
-  for (uint64_t seed = 31; seed <= 36; ++seed) {
-    std::mt19937_64 rng(seed);
-    ModelArtifact base = MakeRandomArtifact(&rng, seed % 2 == 0);
-    ModelArtifact target = RandomSuccessor(&rng, base);
-    lineages.emplace_back(std::move(base), std::move(target));
-  }
-  // Empty sections: a delta touching no user (same estimates, generation
-  // bumped) has an empty touched-pi section, and an |U| = 0 or |W| = 0
-  // base has an empty pi or phi.
-  std::mt19937_64 rng(37);
-  std::vector<ModelArtifact> bases = EmptySectionArtifacts();
-  bases.push_back(MakeRandomArtifact(&rng, /*with_vocab=*/true));
-  for (const ModelArtifact& base : bases) {
-    ModelArtifact bumped = base;
-    bumped.generation = base.generation + 1;
-    lineages.emplace_back(base, std::move(bumped));
-    lineages.emplace_back(base, RandomSuccessor(&rng, base));
-  }
+// An artifact rewritten while a server maps it: the rewrite must land in a
+// new file renamed over the path, never in the mapped pages. An in-place
+// truncate-and-rewrite would make the old mapping read the new bytes (or
+// fault past the new end of file).
+TEST(ArtifactRoundtripTest, RewriteKeepsTheLiveMappingOnTheOldFile) {
+  std::mt19937_64 rng(61);
+  ModelArtifact large = MakeRandomArtifact(&rng, /*with_vocab=*/true);
+  const size_t c = static_cast<size_t>(large.num_communities);
+  large.num_users = 400;
+  FillRandom(&rng, &large.pi, large.num_users * c);
+  ModelArtifact small = large;
+  small.num_users = 40;
+  small.pi.resize(small.num_users * c);
+  small.generation = large.generation + 1;
+  ASSERT_TRUE(small.Validate().ok());
 
-  for (size_t lineage = 0; lineage < lineages.size(); ++lineage) {
-    const auto& [base, target] = lineages[lineage];
-    auto delta = BuildModelDelta(base, target);
-    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    auto encoded = EncodeModelDelta(*delta);
-    ASSERT_TRUE(encoded.ok());
-    auto decoded = DecodeModelDelta(*encoded);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    auto re_encoded = EncodeModelDelta(*decoded);
-    ASSERT_TRUE(re_encoded.ok());
-    EXPECT_EQ(*re_encoded, *encoded) << "lineage=" << lineage;
+  const std::string path = ::testing::TempDir() + "/roundtrip_rewrite.cpdb";
+  ASSERT_TRUE(WriteModelArtifact(path, large).ok());
+  auto old_mapping = MappedModelArtifact::Open(path);
+  ASSERT_TRUE(old_mapping.ok()) << old_mapping.status().ToString();
+  ASSERT_TRUE(WriteModelArtifact(path, small).ok());
 
-    // Build -> apply reproduces the target on the wire.
-    auto applied = ApplyModelDelta(base, *decoded);
-    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-    EXPECT_EQ(MustEncode(*applied), MustEncode(target))
-        << "lineage=" << lineage;
-  }
+  const std::span<const double> old_pi = (*old_mapping)->pi();
+  ASSERT_EQ(old_pi.size(), large.pi.size());
+  EXPECT_EQ(std::memcmp(old_pi.data(), large.pi.data(),
+                        large.pi.size() * sizeof(double)),
+            0);
+  EXPECT_TRUE(MustEncode((*old_mapping)->Materialize()) == MustEncode(large));
+
+  auto new_mapping = MappedModelArtifact::Open(path);
+  ASSERT_TRUE(new_mapping.ok()) << new_mapping.status().ToString();
+  EXPECT_EQ((*new_mapping)->num_users(), small.num_users);
+  EXPECT_TRUE(MustEncode((*new_mapping)->Materialize()) == MustEncode(small));
 }
 
-TEST(ArtifactRoundtripTest, DeltaApplicationIsOrderStable) {
-  for (uint64_t seed = 41; seed <= 46; ++seed) {
-    std::mt19937_64 rng(seed);
-    const ModelArtifact a = MakeRandomArtifact(&rng, seed % 2 == 0);
-    const ModelArtifact b = RandomSuccessor(&rng, a);
-    const ModelArtifact c = RandomSuccessor(&rng, b);
-    const ModelArtifact d = RandomSuccessor(&rng, c);
-    auto ab = BuildModelDelta(a, b);
-    auto bc = BuildModelDelta(b, c);
-    auto cd = BuildModelDelta(c, d);
-    ASSERT_TRUE(ab.ok() && bc.ok() && cd.ok());
+TEST(ArtifactRoundtripTest, FailedWriteLeavesNoTempFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "roundtrip_failed";
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directory(dir));
+  std::mt19937_64 rng(62);
+  const ModelArtifact artifact = MakeRandomArtifact(&rng, false);
 
-    // One delta at a time == one composed merge, bitwise.
-    auto step_b = ApplyModelDelta(a, *ab);
-    ASSERT_TRUE(step_b.ok());
-    auto step_c = ApplyModelDelta(*step_b, *bc);
-    ASSERT_TRUE(step_c.ok());
-    auto composed = ComposeModelDeltas(*ab, *bc);
-    ASSERT_TRUE(composed.ok()) << composed.status().ToString();
-    auto jumped = ApplyModelDelta(a, *composed);
-    ASSERT_TRUE(jumped.ok()) << jumped.status().ToString();
-    EXPECT_EQ(MustEncode(*jumped), MustEncode(*step_c)) << "seed=" << seed;
-    EXPECT_EQ(MustEncode(*jumped), MustEncode(c)) << "seed=" << seed;
+  // The parent directory does not exist: nothing can be created.
+  const Status missing =
+      WriteModelArtifact((dir / "absent" / "model.cpdb").string(), artifact);
+  EXPECT_EQ(missing.code(), StatusCode::kIOError) << missing.ToString();
+  EXPECT_TRUE(fs::is_empty(dir));
 
-    // Composition associates on the wire.
-    auto left = ComposeModelDeltas(*composed, *cd);
-    auto bc_cd = ComposeModelDeltas(*bc, *cd);
-    ASSERT_TRUE(left.ok() && bc_cd.ok());
-    auto right = ComposeModelDeltas(*ab, *bc_cd);
-    ASSERT_TRUE(right.ok());
-    auto left_bytes = EncodeModelDelta(*left);
-    auto right_bytes = EncodeModelDelta(*right);
-    ASSERT_TRUE(left_bytes.ok() && right_bytes.ok());
-    EXPECT_EQ(*left_bytes, *right_bytes) << "seed=" << seed;
-
-    // Out-of-order application refuses, it does not corrupt.
-    EXPECT_EQ(ApplyModelDelta(a, *bc).status().code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(ComposeModelDeltas(*bc, *ab).status().code(),
-              StatusCode::kFailedPrecondition);
+  // The path is a directory: the temp file is written, the rename fails,
+  // and the temp file is removed again.
+  const fs::path occupied = dir / "occupied.cpdb";
+  ASSERT_TRUE(fs::create_directory(occupied));
+  const Status blocked = WriteModelArtifact(occupied.string(), artifact);
+  EXPECT_EQ(blocked.code(), StatusCode::kIOError) << blocked.ToString();
+  std::vector<std::string> entries;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    entries.push_back(entry.path().filename().string());
   }
+  EXPECT_EQ(entries, std::vector<std::string>{"occupied.cpdb"});
+  EXPECT_TRUE(fs::is_empty(occupied));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Artifact torture suite: every way a ".cpdb" or ".cpdd" delta file can be
-// damaged on disk must surface as a *typed* error — never a crash, never an
-// over-allocation sized by a forged header, never a silent mis-load. Both
-// decode paths are driven for every corruption: the heap codec
-// (DecodeModelArtifact / DecodeModelDelta) and, for .cpdb, the zero-copy
-// loader (MappedModelArtifact::Open on a real temp file). The corruption
-// taxonomy mirrors dist_wire_test: bad magic / foreign endianness /
-// corrupt header fields are InvalidArgument, any version but the current
-// one is Unimplemented, and truncation and out-of-bounds sections are
-// OutOfRange.
+// Artifact torture suite: every way a ".cpdb" file can be damaged on disk
+// must surface as a *typed* error — never a crash, never an over-allocation
+// sized by a forged header, never a silent mis-load. Both decode paths are
+// driven for every corruption: the heap codec (DecodeModelArtifact) and the
+// zero-copy loader (MappedModelArtifact::Open on a real temp file). The
+// corruption taxonomy mirrors dist_wire_test: bad magic / foreign
+// endianness / corrupt header fields are InvalidArgument, any version but
+// the current one is Unimplemented, and truncation and out-of-bounds
+// sections are OutOfRange.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "core/model_artifact.h"
-#include "core/model_delta.h"
 #include "core/model_state.h"
 #include "serve/profile_index.h"
 #include "util/file_util.h"
@@ -169,24 +167,6 @@ TEST_F(ArtifactTortureTest, EveryV3PrefixIsRejectedByBothPaths) {
   }
 }
 
-TEST_F(ArtifactTortureTest, EveryDeltaPrefixIsRejected) {
-  auto delta = BuildModelDelta(MakeArtifact(/*with_vocab=*/true), [] {
-    ModelArtifact target = MakeArtifact(/*with_vocab=*/true);
-    target.generation = 12;
-    target.pi[3] += 0.25;
-    return target;
-  }());
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  auto bytes = EncodeModelDelta(*delta);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  for (size_t keep = 0; keep < bytes->size(); ++keep) {
-    const auto decoded = DecodeModelDelta(bytes->substr(0, keep));
-    ASSERT_FALSE(decoded.ok()) << "prefix " << keep << " decoded";
-    EXPECT_TRUE(IsTypedFailure(decoded.status()))
-        << "prefix " << keep << ": " << decoded.status().ToString();
-  }
-}
-
 // ----- exhaustive single-bit header corruption -----
 
 // FNV-1a over the header+table changes under any single-byte edit and every
@@ -218,29 +198,6 @@ TEST_F(ArtifactTortureTest, EveryHeaderBitFlipIsRejectedByBothPaths) {
   EXPECT_EQ(mapped.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(mapped.status().message().find("checksum"), std::string::npos)
       << mapped.status().ToString();
-}
-
-TEST_F(ArtifactTortureTest, EveryDeltaHeaderBitFlipIsRejected) {
-  ModelArtifact target = MakeArtifact(/*with_vocab=*/true);
-  target.generation = 12;
-  target.pi[0] += 0.5;
-  auto delta = BuildModelDelta(MakeArtifact(/*with_vocab=*/true), target);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  auto bytes = EncodeModelDelta(*delta);
-  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
-  constexpr size_t kDeltaHeader = 96;
-  ASSERT_GE(bytes->size(), kDeltaHeader);
-  for (size_t byte = 0; byte < kDeltaHeader; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string corrupt = *bytes;
-      corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-      SCOPED_TRACE(::testing::Message() << "byte " << byte << " bit " << bit);
-      const auto decoded = DecodeModelDelta(corrupt);
-      ASSERT_FALSE(decoded.ok());
-      EXPECT_TRUE(IsTypedFailure(decoded.status()))
-          << decoded.status().ToString();
-    }
-  }
 }
 
 // ----- targeted header-field forgeries (checksum re-stamped) -----
@@ -510,107 +467,6 @@ TEST_F(ArtifactTortureTest, VocabSectionForgeryIsRejected) {
     return;
   }
   FAIL() << "no vocab section found";
-}
-
-// ----- delta-specific torture -----
-
-TEST_F(ArtifactTortureTest, DeltaForgeryTaxonomy) {
-  ModelArtifact base = MakeArtifact(/*with_vocab=*/true);
-  ModelArtifact target = MakeArtifact(/*with_vocab=*/true);
-  target.generation = 12;
-  target.pi[5] *= 2.0;
-  auto delta = BuildModelDelta(base, target);
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  auto encoded = EncodeModelDelta(*delta);
-  ASSERT_TRUE(encoded.ok()) << encoded.status().ToString();
-  const std::string pristine = *encoded;
-  constexpr size_t kDeltaChecksum = 92;
-  const auto fix = [](std::string* bytes) {
-    uint32_t hash = 2166136261u;
-    for (size_t i = 0; i < 96; ++i) {
-      const bool in_hole = i >= kDeltaChecksum && i < kDeltaChecksum + 4;
-      hash = (hash ^ (in_hole ? 0 : static_cast<uint8_t>((*bytes)[i]))) *
-             16777619u;
-    }
-    WriteLE<uint32_t>(bytes, kDeltaChecksum, hash);
-  };
-
-  {  // Bad magic.
-    std::string bytes = pristine;
-    bytes[0] = 'X';
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Newer version.
-    std::string bytes = pristine;
-    WriteLE<uint32_t>(&bytes, 8, kModelDeltaVersion + 1);
-    fix(&bytes);
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kUnimplemented);
-  }
-  {  // Foreign endianness.
-    std::string bytes = pristine;
-    WriteLE<uint32_t>(&bytes, 12, 0x04030201u);
-    fix(&bytes);
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Forged touched count larger than |U|.
-    std::string bytes = pristine;
-    WriteLE<uint64_t>(&bytes, 84, 1000);
-    fix(&bytes);
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  }
-  {  // Absurd |U| cannot size an allocation.
-    std::string bytes = pristine;
-    WriteLE<uint64_t>(&bytes, 24, ~0ull >> 3);
-    fix(&bytes);
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_TRUE(IsTypedFailure(decoded.status()))
-        << decoded.status().ToString();
-  }
-  {  // Trailing byte.
-    std::string bytes = pristine;
-    bytes.push_back('\0');
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(decoded.status().message().find("trailing"), std::string::npos);
-  }
-  {  // Unsorted touched ids: swap the encoded order of two ids. Craft a
-     // delta with two touched rows first.
-    ModelArtifact wide = target;
-    wide.pi[0] += 1.0;  // Touch user 0 as well as user 1 (pi[5] above).
-    auto two = BuildModelDelta(base, wide);
-    ASSERT_TRUE(two.ok());
-    ASSERT_GE(two->touched_users.size(), 2u);
-    auto two_bytes = EncodeModelDelta(*two);
-    ASSERT_TRUE(two_bytes.ok());
-    std::string bytes = *two_bytes;
-    const uint64_t first = ReadLE<uint64_t>(bytes, 96);
-    const uint64_t second = ReadLE<uint64_t>(bytes, 104);
-    WriteLE<uint64_t>(&bytes, 96, second);
-    WriteLE<uint64_t>(&bytes, 104, first);
-    const auto decoded = DecodeModelDelta(bytes);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
-        << decoded.status().ToString();
-  }
-  {  // Applying against the wrong base generation.
-    auto decoded = DecodeModelDelta(pristine);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ModelArtifact wrong_base = base;
-    wrong_base.generation = 999;
-    const auto applied = ApplyModelDelta(wrong_base, *decoded);
-    ASSERT_FALSE(applied.ok());
-    EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
-  }
 }
 
 // ----- the pristine files still load (the suite must not be vacuous) -----

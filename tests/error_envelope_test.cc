@@ -143,6 +143,17 @@ TEST_F(ErrorEnvelopeTest, EveryTypedHandlerErrorUsesTheEnvelope) {
        R"({"model":"ghost"})", 409, "FailedPrecondition"},
       {"reload of a missing file", "POST", "/admin/reload",
        R"({"path":"/no/such/file.cpdb"})", 404, "NotFound"},
+      {"reload body is an array", "POST", "/admin/reload", "[]", 400,
+       "InvalidArgument"},
+      {"reload body is a string", "POST", "/admin/reload", R"("x")", 400,
+       "InvalidArgument"},
+      {"reload body is a number", "POST", "/admin/reload", "3", 400,
+       "InvalidArgument"},
+      {"reload with a removed field", "POST", "/admin/reload",
+       R"({"delta":"g2.bin"})", 400, "InvalidArgument"},
+      {"reload with an unknown field", "POST", "/admin/reload",
+       R"({"path":"/no/such/file.cpdb","force":true})", 400,
+       "InvalidArgument"},
   };
   auto client = HttpClient::Connect(kHost, server.port());
   ASSERT_TRUE(client.ok());

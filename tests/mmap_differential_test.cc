@@ -1,10 +1,9 @@
 // Differential suite over the two artifact load paths: the same v3 .cpdb
 // served --load_mode heap and --load_mode mmap must produce byte-identical
 // HTTP responses for every query type, every error path, and the frozen-
-// clock scrape views. Also pins the delta-chain publication flow: a base
-// artifact patched through a .cpdd chain (copy-on-write over the mapping in
-// mmap mode, re-read + ApplyModelDelta on the heap) must serve bitwise the
-// same bytes as a full rebuild of the final generation.
+// clock scrape views. Also pins the publication flow: a chain of whole
+// .cpdb generations hot-swapped through POST /admin/reload under traffic
+// must serve the same bytes in both modes as a fresh load of the last one.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 
 #include "core/cpd_model.h"
 #include "core/model_artifact.h"
-#include "core/model_delta.h"
 #include "obs/clock.h"
 #include "serve/profile_index.h"
 #include "server/http_server.h"
@@ -59,8 +57,8 @@ class MmapDifferentialTest : public ::testing::Test {
     // Fabricate a three-generation lineage the way ingest would: generation
     // 2 retouches two pi rows and perturbs every global estimate;
     // generation 3 touches two more rows, appends one user AND one
-    // vocabulary word (the COW overlay's hardest case: pi growth + phi
-    // reshape + appended-word vocabulary rebuild in one delta).
+    // vocabulary word (pi growth + phi reshape + a grown vocabulary in one
+    // swap).
     auto decoded = ReadModelArtifact(*base_path_);
     CPD_CHECK(decoded.ok());
     const ModelArtifact base = std::move(*decoded);
@@ -105,28 +103,21 @@ class MmapDifferentialTest : public ::testing::Test {
     std::swap(gen3.popularity[2], gen3.popularity[3]);
     CPD_CHECK(gen3.Validate().ok());
 
-    auto delta12 = BuildModelDelta(base, gen2);
-    CPD_CHECK(delta12.ok());
-    auto delta23 = BuildModelDelta(gen2, gen3);
-    CPD_CHECK(delta23.ok());
-    delta12_path_ = new std::string(::testing::TempDir() + "/mmap_diff_12.cpdd");
-    delta23_path_ = new std::string(::testing::TempDir() + "/mmap_diff_23.cpdd");
-    full3_path_ = new std::string(::testing::TempDir() + "/mmap_diff_g3.cpdb");
-    CPD_CHECK(WriteModelDelta(*delta12_path_, *delta12).ok());
-    CPD_CHECK(WriteModelDelta(*delta23_path_, *delta23).ok());
-    CPD_CHECK(WriteModelArtifact(*full3_path_, gen3).ok());
+    g2_path_ = new std::string(::testing::TempDir() + "/mmap_diff_g2.cpdb");
+    g3_path_ = new std::string(::testing::TempDir() + "/mmap_diff_g3.cpdb");
+    CPD_CHECK(WriteModelArtifact(*g2_path_, gen2).ok());
+    CPD_CHECK(WriteModelArtifact(*g3_path_, gen3).ok());
   }
 
   static void TearDownTestSuite() {
     delete model_;
     delete data_;
     delete base_path_;
-    delete delta12_path_;
-    delete delta23_path_;
-    delete full3_path_;
+    delete g2_path_;
+    delete g3_path_;
     model_ = nullptr;
     data_ = nullptr;
-    base_path_ = delta12_path_ = delta23_path_ = full3_path_ = nullptr;
+    base_path_ = g2_path_ = g3_path_ = nullptr;
   }
 
   /// Rotates one matrix row left by one slot: values stay positive and the
@@ -159,10 +150,10 @@ class MmapDifferentialTest : public ::testing::Test {
   };
 
   /// Query-only trace: all four query types, a batch with a per-slot
-  /// error, the GET shortcuts, the delta-introduced user and word, and a
-  /// keep-alive-safe error path. Deliberately free of /v1/models, /statsz,
-  /// and /metricsz — those legitimately differ between a delta-chained
-  /// registry and a fresh full load (load counters, source path).
+  /// error, the GET shortcuts, the user and word generation 3 introduces,
+  /// and a keep-alive-safe error path. Deliberately free of /v1/models,
+  /// /statsz, and /metricsz — those legitimately differ between a
+  /// hot-swapped registry and a fresh load (load counters, source path).
   static std::vector<Exchange> QueryTrace() {
     return {
         {"POST", "/v1/query",
@@ -224,9 +215,8 @@ class MmapDifferentialTest : public ::testing::Test {
   static SynthResult* data_;
   static CpdModel* model_;
   static std::string* base_path_;
-  static std::string* delta12_path_;
-  static std::string* delta23_path_;
-  static std::string* full3_path_;
+  static std::string* g2_path_;
+  static std::string* g3_path_;
   static int new_user_;
   static int appended_word_;
 };
@@ -234,9 +224,8 @@ class MmapDifferentialTest : public ::testing::Test {
 SynthResult* MmapDifferentialTest::data_ = nullptr;
 CpdModel* MmapDifferentialTest::model_ = nullptr;
 std::string* MmapDifferentialTest::base_path_ = nullptr;
-std::string* MmapDifferentialTest::delta12_path_ = nullptr;
-std::string* MmapDifferentialTest::delta23_path_ = nullptr;
-std::string* MmapDifferentialTest::full3_path_ = nullptr;
+std::string* MmapDifferentialTest::g2_path_ = nullptr;
+std::string* MmapDifferentialTest::g3_path_ = nullptr;
 int MmapDifferentialTest::new_user_ = 0;
 int MmapDifferentialTest::appended_word_ = 0;
 
@@ -291,96 +280,58 @@ TEST_F(MmapDifferentialTest, FailedLoadLeavesNothingServingInBothModes) {
   }
 }
 
-TEST_F(MmapDifferentialTest, DeltaChainMatchesFullRebuildBitwise) {
-  const std::vector<Exchange> trace = QueryTrace();
-  std::vector<std::vector<std::string>> chained;
-  std::vector<std::vector<std::string>> rebuilt;
-  std::vector<std::string> pre_chain;
-
-  for (const auto mode :
-       {ArtifactLoadMode::kHeap, ArtifactLoadMode::kMmap}) {
-    auto chain = MakeRegistry(mode);
-    ASSERT_TRUE(chain->LoadFrom(*base_path_).ok());
-    if (mode == ArtifactLoadMode::kHeap) {
-      pre_chain = ServeTrace(chain.get(), trace);
-    }
-    ASSERT_TRUE(chain->LoadDeltaFrom(*delta12_path_).ok());
-    ASSERT_TRUE(chain->LoadDeltaFrom(*delta23_path_).ok());
-    const auto snapshot = chain->Snapshot();
-    EXPECT_EQ(snapshot->index.is_mmap_backed(),
-              mode == ArtifactLoadMode::kMmap);
-    EXPECT_EQ(snapshot->index.artifact_generation(), 3u);
-    EXPECT_EQ(snapshot->delta_path, *delta23_path_);
-    chained.push_back(ServeTrace(chain.get(), trace));
-
-    auto full = MakeRegistry(mode);
-    ASSERT_TRUE(full->LoadFrom(*full3_path_).ok());
-    EXPECT_EQ(full->Snapshot()->index.artifact_generation(), 3u);
-    rebuilt.push_back(ServeTrace(full.get(), trace));
-  }
-
-  ASSERT_EQ(chained.size(), 2u);
-  ASSERT_EQ(rebuilt.size(), 2u);
-  for (size_t i = 0; i < trace.size(); ++i) {
-    // COW overlay == heap re-patch == full artifact, in either load mode:
-    // four ways to reach generation 3, one set of response bytes.
-    EXPECT_EQ(chained[0][i], chained[1][i])
-        << "chain heap vs mmap: " << trace[i].target << " " << trace[i].body;
-    EXPECT_EQ(rebuilt[0][i], rebuilt[1][i])
-        << "full heap vs mmap: " << trace[i].target << " " << trace[i].body;
-    EXPECT_EQ(chained[0][i], rebuilt[0][i])
-        << "chain vs full rebuild: " << trace[i].target << " "
-        << trace[i].body;
-  }
-
-  // The chain genuinely moved the estimates (user 1's pi row was rotated
-  // in generation 2), and genuinely grew the model: the user and word that
-  // 404'd against the base resolve after the chain lands.
-  EXPECT_NE(pre_chain[0], chained[0][0]);
-  EXPECT_NE(pre_chain[8], chained[0][8]);
-  EXPECT_EQ(chained[0][8].substr(0, 3), "200");
-  EXPECT_EQ(chained[0][10].substr(0, 3), "200");
-}
-
-TEST_F(MmapDifferentialTest, AdminReloadDeltaIsByteIdenticalAcrossLoadModes) {
-  // The same chain, driven over the wire: POST /admin/reload {"delta":...}
-  // twice, with the queries interleaved, then every delta-specific error
-  // path, then the scrape views. Both registries walk identical load
-  // sequences, so even /metricsz and /statsz must compare raw.
+TEST_F(MmapDifferentialTest, AdminReloadChainIsByteIdenticalAcrossLoadModes) {
+  // Generations 2 and 3 published as whole artifacts and swapped in over
+  // the wire (POST /admin/reload {"path":...}) with queries interleaved,
+  // then the reload error paths, then the scrape views. Both registries
+  // walk identical load sequences, so even /metricsz and /statsz must
+  // compare raw.
+  const std::string missing_path =
+      ::testing::TempDir() + "/mmap_diff_no_such_g4.cpdb";
+  const Exchange user1 = {
+      "POST", "/v1/query",
+      R"({"type":"membership","user":1,"top_k":4,"include_distribution":true})"};
   std::vector<Exchange> trace;
+  trace.push_back(user1);
   trace.push_back(
-      {"POST", "/admin/reload", R"({"delta":")" + *delta12_path_ + R"("})"});
+      {"POST", "/admin/reload", R"({"path":")" + *g2_path_ + R"("})"});
+  trace.push_back(user1);
   trace.push_back(
-      {"POST", "/v1/query",
-       R"({"type":"membership","user":1,"top_k":4,"include_distribution":true})"});
-  trace.push_back(
-      {"POST", "/admin/reload", R"({"delta":")" + *delta23_path_ + R"("})"});
+      {"POST", "/admin/reload", R"({"path":")" + *g3_path_ + R"("})"});
+  const size_t queries_begin = trace.size();
   for (Exchange& exchange : QueryTrace()) trace.push_back(std::move(exchange));
-  // "path" and "delta" are mutually exclusive -> 400, nothing swaps.
-  trace.push_back({"POST", "/admin/reload",
-                   R"({"path":")" + *full3_path_ + R"(","delta":")" +
-                       *delta12_path_ + R"("})"});
-  // Replaying a consumed delta -> 500 (it patches generation 1, the
-  // registry serves generation 3); the old model keeps serving.
+  // Reloading a name that never loaded -> 409 FailedPrecondition.
+  trace.push_back({"POST", "/admin/reload", R"({"model":"ghost"})"});
+  // A path that does not exist -> 404; generation 3 keeps serving.
   trace.push_back(
-      {"POST", "/admin/reload", R"({"delta":")" + *delta12_path_ + R"("})"});
-  // A delta against a name that never loaded -> 409 FailedPrecondition.
-  trace.push_back({"POST", "/admin/reload",
-                   R"({"model":"ghost","delta":")" + *delta12_path_ + R"("})"});
+      {"POST", "/admin/reload", R"({"path":")" + missing_path + R"("})"});
   trace.push_back({"GET", "/v1/models", ""});
   trace.push_back({"GET", "/metricsz", ""});
   trace.push_back({"GET", "/statsz", ""});
 
   std::vector<std::vector<std::string>> results;
+  std::vector<std::vector<std::string>> fresh;
   for (const auto mode :
        {ArtifactLoadMode::kHeap, ArtifactLoadMode::kMmap}) {
+    SCOPED_TRACE(serve::ArtifactLoadModeName(mode));
     auto registry = MakeRegistry(mode);
     ASSERT_TRUE(registry->LoadFrom(*base_path_).ok());
+    const std::vector<std::string> pre_chain =
+        ServeTrace(registry.get(), QueryTrace());
     results.push_back(ServeTrace(registry.get(), trace));
     const auto snapshot = registry->Snapshot();
     EXPECT_EQ(snapshot->index.artifact_generation(), 3u);
+    EXPECT_EQ(snapshot->source_path, *g3_path_);
     EXPECT_EQ(snapshot->index.is_mmap_backed(),
               mode == ArtifactLoadMode::kMmap);
+    // The user and word generation 3 introduces were errors before the
+    // chain landed.
+    EXPECT_NE(pre_chain[8].substr(0, 3), "200");
+    EXPECT_NE(pre_chain[10].substr(0, 3), "200");
+
+    auto direct = MakeRegistry(mode);
+    ASSERT_TRUE(direct->LoadFrom(*g3_path_).ok());
+    fresh.push_back(ServeTrace(direct.get(), QueryTrace()));
   }
 
   ASSERT_EQ(results.size(), 2u);
@@ -388,17 +339,28 @@ TEST_F(MmapDifferentialTest, AdminReloadDeltaIsByteIdenticalAcrossLoadModes) {
     EXPECT_EQ(results[0][i], results[1][i])
         << trace[i].method << " " << trace[i].target << " " << trace[i].body;
   }
-  // The reload responses publish the lineage: registry load counter 2 then
-  // 3, each naming the delta it applied.
-  EXPECT_EQ(results[0][0].substr(0, 3), "200");
-  EXPECT_NE(results[0][0].find("\"generation\":2"), std::string::npos);
-  EXPECT_NE(results[0][0].find(*delta12_path_), std::string::npos);
-  EXPECT_EQ(results[0][2].substr(0, 3), "200");
-  EXPECT_NE(results[0][2].find("\"generation\":3"), std::string::npos);
+  // Two swaps leave nothing of generation 1 behind: the chained registry
+  // answers exactly like a fresh load of generation 3.
+  for (size_t i = 0; i < fresh[0].size(); ++i) {
+    EXPECT_EQ(results[0][queries_begin + i], fresh[0][i])
+        << "swapped vs fresh: " << trace[queries_begin + i].body;
+    EXPECT_EQ(fresh[0][i], fresh[1][i])
+        << "fresh heap vs mmap: " << trace[queries_begin + i].body;
+  }
+  // The reload responses publish the registry load counter (2, then 3) and
+  // the artifact now serving; user 1's pi row genuinely moved in
+  // generation 2, and the grown model resolves the new user and word.
+  EXPECT_EQ(results[0][1].substr(0, 3), "200");
+  EXPECT_NE(results[0][1].find("\"generation\":2"), std::string::npos);
+  EXPECT_NE(results[0][1].find(*g2_path_), std::string::npos);
+  EXPECT_NE(results[0][0], results[0][2]);
+  EXPECT_EQ(results[0][3].substr(0, 3), "200");
+  EXPECT_NE(results[0][3].find("\"generation\":3"), std::string::npos);
+  EXPECT_EQ(results[0][queries_begin + 8].substr(0, 3), "200");
+  EXPECT_EQ(results[0][queries_begin + 10].substr(0, 3), "200");
   const size_t tail = trace.size();
-  EXPECT_EQ(results[0][tail - 6].substr(0, 3), "400");  // path+delta clash.
-  EXPECT_EQ(results[0][tail - 5].substr(0, 3), "500");  // stale delta base.
-  EXPECT_EQ(results[0][tail - 4].substr(0, 3), "409");  // ghost model.
+  EXPECT_EQ(results[0][tail - 5].substr(0, 3), "409");  // ghost model.
+  EXPECT_EQ(results[0][tail - 4].substr(0, 3), "404");  // missing path.
 }
 
 }  // namespace

@@ -13,7 +13,12 @@
 #   5. every bench_<name> binary named in README.md, docs/*.md, the verify
 #      skill notes or the CI workflow must have its source bench/<name>.cc
 #      (CMake builds one bench_<name> per bench/*.cc), so docs and CI
-#      cannot keep running a deleted bench driver.
+#      cannot keep running a deleted bench driver;
+#   6. every repo path (src/, tests/, tools/, bench/, examples/, perfbench/)
+#      inside a `code span` of README.md, docs/*.md or the verify skill
+#      notes must exist — as written, or as <path>.cc for a binary named
+#      after its source — so docs cannot keep pointing at a deleted file.
+#      Glob and placeholder spellings (*, <name>, {a,b}) are skipped.
 # Exits non-zero listing every violation.
 
 set -u
@@ -123,9 +128,22 @@ for name in $bench_names; do
   fi
 done
 
+# ----- 6. backticked repo paths exist -----
+path_docs=$(ls README.md docs/*.md .claude/skills/verify/SKILL.md 2>/dev/null)
+doc_paths=$(grep -ohE '`[^`]+`' $path_docs |
+            grep -oE '(^|[^A-Za-z0-9_./-])(src|tests|tools|bench|examples|perfbench)/[A-Za-z0-9_./*<>{},-]*' |
+            sed -E -e 's/^[^a-z]//' -e 's/[.,]+$//' | grep -v '[*<{]' | sort -u)
+for path in $doc_paths; do
+  if [ ! -e "$path" ] && [ ! -e "$path.cc" ]; then
+    echo "STALE PATH: $path (named in the docs, but neither it nor" \
+         "$path.cc exists)"
+    failures=1
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (links resolve, every route, metric, flag and bench" \
-     "binary checked)"
+echo "docs check OK (links resolve, every route, metric, flag, bench" \
+     "binary and repo path checked)"

@@ -1,7 +1,9 @@
 // Offline streaming-ingest front end: apply a JSON update batch to a
 // trained model + its training graph, run warm-started EM sweeps over the
 // touched shards, and write a fresh .cpdb artifact — no full retrain, no
-// server required. The same batch format is accepted online by cpd_serve's
+// server required. The artifact is published by an atomic rename, so a
+// server already mapping --out keeps serving the old file until it
+// reloads. The same batch format is accepted online by cpd_serve's
 // POST /admin/ingest (docs/HTTP_API.md pins it).
 //
 // Usage:
@@ -37,14 +39,13 @@ void Usage(const char* argv0) {
                "          --users N --docs docs.tsv --friends friends.tsv "
                "--diffusion diffusion.tsv\n"
                "          [--warm_iters 2] [--threads 1] [--shards 0]\n"
-               "          [--seed 42] [--save_graph prefix] [--emit_delta 0]\n",
+               "          [--seed 42] [--save_graph prefix]\n",
                argv0);
 }
 
 const std::set<std::string> kKnownFlags = {
     "model", "update",     "out",     "users",  "docs", "friends",
-    "diffusion", "warm_iters", "threads", "shards", "seed", "save_graph",
-    "emit_delta"};
+    "diffusion", "warm_iters", "threads", "shards", "seed", "save_graph"};
 
 }  // namespace
 
@@ -80,8 +81,8 @@ int main(int argc, char** argv) {
   auto graph =
       std::make_shared<const cpd::SocialGraph>(std::move(*loaded));
 
-  // Decode the artifact (not just the model) so the base generation stamp
-  // survives into any emitted delta.
+  // Decode the artifact (not just the model) so the output is stamped with
+  // the next generation after the input's.
   auto artifact = cpd::ReadModelArtifact(args["model"]);
   if (!artifact.ok()) {
     std::fprintf(stderr, "model load failed: %s\n",
@@ -111,9 +112,6 @@ int main(int argc, char** argv) {
   options.config.num_shards = static_cast<int>(int_flag("shards", 0));
   options.config.seed = cpd::GetUint64FlagOrExit(args, "seed", 42, usage);
   options.warm_iterations = static_cast<int>(int_flag("warm_iters", 2));
-  // --emit_delta 1 also writes "<out minus .cpdb>.cpdd": the diff against
-  // the input artifact, for POST /admin/reload {"delta": ...} publication.
-  options.write_delta = int_flag("emit_delta", 0) != 0;
   options.base_generation = base_generation;
 
   auto pipeline =
@@ -147,12 +145,6 @@ int main(int argc, char** argv) {
       result->vocab_size, result->apply_seconds, result->warm_seconds,
       result->save_seconds, result->total_seconds,
       result->link_log_likelihood);
-  if (!result->delta_path.empty()) {
-    std::printf("  delta -> %s (%zu bytes vs %zu full; generation %llu)\n",
-                result->delta_path.c_str(), result->delta_bytes,
-                result->artifact_bytes,
-                static_cast<unsigned long long>(result->generation));
-  }
 
   if (args.count("save_graph")) {
     const std::string prefix = args["save_graph"];

@@ -27,8 +27,9 @@
 //   POST /admin/ingest          UpdateBatch JSON -> warm-started model ->
 //                               fresh artifact -> zero-downtime swap
 //                               (needs the training-graph quartet above;
-//                                artifacts land at <--ingest_out>.gN.cpdb,
-//                                default <--model>)
+//                                every generation is one whole .cpdb at
+//                                <--ingest_out>.gN.cpdb, default <--model>,
+//                                written by an atomic rename)
 //
 // I/O: --io_mode epoll (default) multiplexes up to --max_connections on an
 // event loop; blocking is the thread-per-connection path (--threads is then
@@ -76,7 +77,7 @@ void Usage(const char* argv0) {
                "          [--users N --docs docs.tsv --friends friends.tsv "
                "--diffusion diffusion.tsv]\n"
                "          [--warm_iters 2] [--ingest_threads 1] "
-               "[--ingest_out base] [--emit_delta 0]\n",
+               "[--ingest_out base]\n",
                argv0);
 }
 
@@ -87,7 +88,7 @@ const std::set<std::string> kKnownFlags = {
     "ingest_out",       "io_mode",      "max_connections",
     "coalesce_window_us", "coalesce_max",
     "log_level", "metrics", "slow_request_ms",
-    "load_mode", "emit_delta"};
+    "load_mode"};
 
 std::atomic<bool> g_shutdown{false};
 
@@ -221,10 +222,6 @@ int main(int argc, char** argv) {
           static_cast<int>(int_flag("warm_iters", 2));
       ingest_options.artifact_base =
           args.count("ingest_out") ? args["ingest_out"] : args["model"];
-      // --emit_delta 1: each batch also writes the ".cpdd" diff against the
-      // previous generation, and /admin/ingest swaps it in copy-on-write
-      // when the serving model is mmap-backed.
-      ingest_options.write_delta = int_flag("emit_delta", 0) != 0;
       ingest_options.base_generation =
           registry.Snapshot()->index.artifact_generation();
       auto created = cpd::ingest::IngestPipeline::Create(graph, *trained,
