@@ -10,9 +10,7 @@
 //  - BENCH_sampler.json (or CPD_WRITE_SAMPLER_JSON set): dense-vs-sparse
 //    document-sweep tokens/sec over K ∈ {10, 50, 200} topics;
 //  - BENCH_estep_merge.json (or CPD_WRITE_ESTEP_JSON set): snapshot/delta
-//    E-step tokens/sec and merge/snapshot seconds vs shard count {1,2,4,8},
-//    plus the same sweep over distributed cpd_worker process counts {1,2,4}
-//    with serialize/transport seconds and wire bytes per sweep.
+//    E-step tokens/sec and merge/snapshot seconds vs shard count {1,2,4,8}.
 
 #include <benchmark/benchmark.h>
 
@@ -310,64 +308,6 @@ EstepSweepPoint MeasureEstep(const SynthResult& data, int shards) {
   return point;
 }
 
-struct DistSweepPoint {
-  int workers = 0;
-  double tokens_per_sec = 0.0;
-  double serialize_seconds_per_sweep = 0.0;
-  double wait_seconds_per_sweep = 0.0;
-  double merge_seconds_per_sweep = 0.0;
-  double bytes_out_per_sweep = 0.0;
-  double bytes_in_per_sweep = 0.0;
-};
-
-// One point of the distributed E-step curve: the same EStep workload
-// dispatched to `workers` spawned cpd_worker processes (one shard per
-// worker). Transport counters are cumulative in TrainStats, so per-sweep
-// figures are deltas across the measured reps.
-DistSweepPoint MeasureDistributedEstep(const SynthResult& data,
-                                       const std::string& worker_binary,
-                                       int workers) {
-  CpdConfig config;
-  config.num_communities = 8;
-  config.num_topics = 10;
-  config.gibbs_sweeps_per_em = 1;
-  config.num_shards = workers;
-  config.executor_mode = ExecutorMode::kDistributed;
-  config.dist_workers = workers;
-  config.dist_worker_binary = worker_binary;
-  EmTrainer trainer(data.graph, config);
-  CPD_CHECK(trainer.Initialize().ok());
-  CPD_CHECK(trainer.EStep().ok());  // Warm-up (spawn + handshake + setup).
-
-  const double e0 = trainer.stats().e_step_seconds;
-  const double m0 = trainer.stats().merge_seconds;
-  const double ser0 = trainer.stats().dist_serialize_seconds;
-  const double wait0 = trainer.stats().dist_wait_seconds;
-  const uint64_t out0 = trainer.stats().dist_bytes_out;
-  const uint64_t in0 = trainer.stats().dist_bytes_in;
-  const int reps = 3;
-  for (int i = 0; i < reps; ++i) CPD_CHECK(trainer.EStep().ok());
-
-  DistSweepPoint point;
-  point.workers = workers;
-  const double tokens =
-      static_cast<double>(data.graph.corpus().total_tokens()) *
-      static_cast<double>(reps) * config.gibbs_sweeps_per_em;
-  point.tokens_per_sec = tokens / (trainer.stats().e_step_seconds - e0);
-  const double sweeps = static_cast<double>(reps) * config.gibbs_sweeps_per_em;
-  point.serialize_seconds_per_sweep =
-      (trainer.stats().dist_serialize_seconds - ser0) / sweeps;
-  point.wait_seconds_per_sweep =
-      (trainer.stats().dist_wait_seconds - wait0) / sweeps;
-  point.merge_seconds_per_sweep =
-      (trainer.stats().merge_seconds - m0) / sweeps;
-  point.bytes_out_per_sweep =
-      static_cast<double>(trainer.stats().dist_bytes_out - out0) / sweeps;
-  point.bytes_in_per_sweep =
-      static_cast<double>(trainer.stats().dist_bytes_in - in0) / sweeps;
-  return point;
-}
-
 void WriteEstepMergeJson() {
   const SynthResult& data = MicroData();
   std::vector<EstepSweepPoint> points;
@@ -402,43 +342,6 @@ void WriteEstepMergeJson() {
         p.snapshot_seconds_per_estep, p.doc_moves_per_estep,
         p.tokens_per_sec / points.front().tokens_per_sec,
         i + 1 < points.size() ? "," : "");
-  }
-  json += "  ],\n";
-
-  // Same workload over distributed worker processes. Skipped (empty array)
-  // when cpd_worker was not built next to this binary, so the artifact stays
-  // diffable either way.
-  const std::string worker_binary = CurrentExecutableDir() + "/cpd_worker";
-  std::vector<DistSweepPoint> dist_points;
-  if (FileExists(worker_binary)) {
-    for (int workers : {1, 2, 4}) {
-      dist_points.push_back(
-          MeasureDistributedEstep(data, worker_binary, workers));
-      const DistSweepPoint& p = dist_points.back();
-      std::printf("estep distributed sweep workers=%d  %.0f tok/s  "
-                  "serialize %.4fs  wait %.4fs  merge %.4fs  "
-                  "%.0f B out  %.0f B in\n",
-                  p.workers, p.tokens_per_sec, p.serialize_seconds_per_sweep,
-                  p.wait_seconds_per_sweep, p.merge_seconds_per_sweep,
-                  p.bytes_out_per_sweep, p.bytes_in_per_sweep);
-    }
-  } else {
-    std::printf("cpd_worker not found next to this binary; skipping the "
-                "distributed E-step sweep\n");
-  }
-  json += "  \"distributed_results\": [\n";
-  for (size_t i = 0; i < dist_points.size(); ++i) {
-    const DistSweepPoint& p = dist_points[i];
-    json += StrFormat(
-        "    {\"workers\": %d, \"tokens_per_sec\": %.1f, "
-        "\"serialize_seconds_per_sweep\": %.6f, "
-        "\"wait_seconds_per_sweep\": %.6f, "
-        "\"merge_seconds_per_sweep\": %.6f, "
-        "\"bytes_out_per_sweep\": %.1f, \"bytes_in_per_sweep\": %.1f}%s\n",
-        p.workers, p.tokens_per_sec, p.serialize_seconds_per_sweep,
-        p.wait_seconds_per_sweep, p.merge_seconds_per_sweep,
-        p.bytes_out_per_sweep, p.bytes_in_per_sweep,
-        i + 1 < dist_points.size() ? "," : "");
   }
   json += "  ]\n}\n";
 

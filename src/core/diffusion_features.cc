@@ -96,37 +96,4 @@ void PopularityTable::Refresh(const SocialGraph& graph,
   }
 }
 
-void PopularityTable::EncodeTo(WireWriter* writer) const {
-  writer->I32(num_time_bins_);
-  writer->I32(num_topics_);
-  writer->U8(static_cast<uint8_t>(mode_));
-  writer->Vec(counts_);
-  writer->Vec(values_);
-}
-
-Status PopularityTable::DecodeFrom(WireReader* reader) {
-  const int32_t time_bins = reader->I32();
-  const int32_t topics = reader->I32();
-  const uint8_t mode = reader->U8();
-  std::vector<int64_t> counts;
-  std::vector<double> values;
-  reader->Vec(&counts);
-  reader->Vec(&values);
-  CPD_RETURN_IF_ERROR(reader->status());
-  if (time_bins < 1 || topics < 1 || mode > static_cast<uint8_t>(PopularityMode::kLog1p)) {
-    return Status::InvalidArgument("popularity table: bad header");
-  }
-  const size_t cells =
-      static_cast<size_t>(time_bins) * static_cast<size_t>(topics);
-  if (counts.size() != cells || values.size() != cells) {
-    return Status::InvalidArgument("popularity table: size mismatch");
-  }
-  num_time_bins_ = time_bins;
-  num_topics_ = topics;
-  mode_ = static_cast<PopularityMode>(mode);
-  counts_ = std::move(counts);
-  values_ = std::move(values);
-  return Status::OK();
-}
-
 }  // namespace cpd

@@ -15,7 +15,6 @@
 
 #include "core/model_config.h"
 #include "graph/social_graph.h"
-#include "util/wire_format.h"
 
 namespace cpd {
 
@@ -86,12 +85,6 @@ class PopularityTable {
     return counts_[static_cast<size_t>(t) * static_cast<size_t>(num_topics_) +
                    static_cast<size_t>(z)];
   }
-
-  /// Wire codec (distributed executor parameter shipping): dims + mode +
-  /// both tables. DecodeFrom rejects dim/size mismatches as InvalidArgument;
-  /// truncation surfaces through the reader's own OutOfRange status.
-  void EncodeTo(WireWriter* writer) const;
-  Status DecodeFrom(WireReader* reader);
 
  private:
   int32_t num_time_bins_;

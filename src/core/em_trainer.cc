@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "dist/distributed_executor.h"
 #include "obs/metrics.h"
 #include "sampling/distributions.h"
 #include "util/logging.h"
@@ -16,8 +15,7 @@ namespace cpd {
 
 namespace {
 
-/// Logical trace row of the trainer itself (the distributed coordinator
-/// uses 1, its workers 100+w; see dist/distributed_executor.cc).
+/// Logical trace row of the trainer's spans.
 constexpr int kTrainerTid = 0;
 
 // The logistic regression's two passes over its column-major design matrix
@@ -100,41 +98,13 @@ StatusOr<ThreadPlan> EmTrainer::BuildPlan() {
                      /*lda_iterations=*/15, config_.seed + 101);
 }
 
-StatusOr<std::unique_ptr<ShardExecutor>> EmTrainer::BuildExecutor(
-    ThreadPlan plan) {
-  if (executor_factory_) {
-    return executor_factory_(graph_, config_, *caches_, std::move(plan));
-  }
-  if (config_.ResolvedExecutorMode() == ExecutorMode::kDistributed) {
-    return dist::MakeDistributedExecutor(graph_, config_, *caches_,
-                                         std::move(plan));
-  }
-  return MakeShardExecutor(graph_, config_, *caches_, std::move(plan));
-}
-
-void EmTrainer::UpdateTransportStats() {
-  const DistTransportStats* t = executor_->transport_stats();
-  if (t == nullptr) return;
-  // The executor's counters are cumulative, so assign rather than add.
-  stats_.dist_workers_connected = t->workers_connected;
-  stats_.dist_workers_lost = t->workers_lost;
-  stats_.dist_shards_redispatched = t->shards_redispatched;
-  stats_.dist_bytes_out = t->bytes_out;
-  stats_.dist_bytes_in = t->bytes_in;
-  stats_.dist_serialize_seconds = t->serialize_seconds;
-  stats_.dist_wait_seconds = t->wait_seconds;
-}
-
 Status EmTrainer::EnsureExecutor() {
   if (executor_ != nullptr) return Status::OK();
   auto plan = BuildPlan();
   if (!plan.ok()) return plan.status();
   stats_.num_segments = plan->num_segments;
   stats_.thread_estimated_workload = plan->allocation.thread_workload;
-  auto executor = BuildExecutor(std::move(*plan));
-  if (!executor.ok()) return executor.status();
-  executor_ = std::move(*executor);
-  executor_->SetTraceRecorder(trace_.get());
+  executor_ = MakeShardExecutor(graph_, config_, *caches_, std::move(*plan));
   return Status::OK();
 }
 
@@ -266,10 +236,7 @@ Status EmTrainer::WarmStart(const WarmStartOptions& options) {
   }
   stats_.num_segments = plan->num_segments;
   stats_.thread_estimated_workload = plan->allocation.thread_workload;
-  auto executor = BuildExecutor(std::move(*plan));
-  if (!executor.ok()) return executor.status();
-  executor_ = std::move(*executor);
-  executor_->SetTraceRecorder(trace_.get());
+  executor_ = MakeShardExecutor(graph_, config_, *caches_, std::move(*plan));
 
   for (int iter = 0; iter < options.warm_iterations; ++iter) {
     CPD_RETURN_IF_ERROR(EStep());
@@ -337,7 +304,7 @@ Status EmTrainer::EStep() {
       obs::TraceSpan span(trace_.get(), "sample_shards", kTrainerTid);
       span.AddArg("sweep", Json(sweep_index));
       span.AddArg("e_step", Json(e_step_index));
-      CPD_RETURN_IF_ERROR(executor_->SampleShards(snapshot_, flags, &deltas_));
+      executor_->SampleShards(snapshot_, flags, &deltas_);
       span.AddArg("shards", Json(static_cast<int64_t>(deltas_.size())));
     }
 
@@ -364,7 +331,7 @@ Status EmTrainer::EStep() {
     {
       obs::TraceSpan span(trace_.get(), "augment", kTrainerTid);
       span.AddArg("sweep", Json(sweep_index));
-      CPD_RETURN_IF_ERROR(executor_->SweepAugmentation(sampler_.get()));
+      executor_->SweepAugmentation(sampler_.get());
     }
   }
 
@@ -375,7 +342,6 @@ Status EmTrainer::EStep() {
   // reporting sparse-backend acceptance health for the whole run.
   sampler_->AccumulateMhStats(executor_->ConsumeMhStats());
   stats_.thread_actual_seconds = executor_->shard_seconds();
-  UpdateTransportStats();
   stats_.e_step_seconds += timer.ElapsedSeconds();
   return Status::OK();
 }

@@ -49,15 +49,6 @@ struct TrainStats {
   std::vector<double> thread_estimated_workload;
   std::vector<double> thread_actual_seconds;
   size_t num_segments = 0;
-  /// Distributed-executor transport counters (cumulative over the run; all
-  /// zero for in-process executors). Mirrors DistTransportStats.
-  int dist_workers_connected = 0;
-  int dist_workers_lost = 0;
-  int64_t dist_shards_redispatched = 0;
-  uint64_t dist_bytes_out = 0;
-  uint64_t dist_bytes_in = 0;
-  double dist_serialize_seconds = 0.0;
-  double dist_wait_seconds = 0.0;
 };
 
 /// Inputs of a warm-started (incremental) training run over a graph that
@@ -93,15 +84,6 @@ class EmTrainer {
  public:
   /// Graph must outlive the trainer.
   EmTrainer(const SocialGraph& graph, const CpdConfig& config);
-
-  /// Replacement executor constructor for tests (e.g. a distributed
-  /// coordinator over in-process socketpair workers with fault hooks). Must
-  /// be installed before the first EStep/WarmStart builds the executor.
-  using ExecutorFactory = std::function<StatusOr<std::unique_ptr<ShardExecutor>>(
-      const SocialGraph&, const CpdConfig&, const LinkCaches&, ThreadPlan)>;
-  void SetExecutorFactoryForTest(ExecutorFactory factory) {
-    executor_factory_ = std::move(factory);
-  }
 
   /// Runs Alg. 1 end to end (handles the "no joint modeling" two-phase
   /// schedule when config.ablation.joint_profiling is false).
@@ -145,12 +127,6 @@ class EmTrainer {
   void ForEachExampleRange(size_t n,
                            const std::function<void(size_t, size_t)>& fn);
   Status EnsureExecutor();
-  /// Dispatches on ResolvedExecutorMode(): the src/dist coordinator for
-  /// kDistributed (which can fail to connect), MakeShardExecutor otherwise,
-  /// or the test-injected factory when one is set.
-  StatusOr<std::unique_ptr<ShardExecutor>> BuildExecutor(ThreadPlan plan);
-  /// Folds the executor's cumulative transport counters into stats_.
-  void UpdateTransportStats();
   /// The shard plan EnsureExecutor/WarmStart build their executor over
   /// (TrivialThreadPlan for one shard, LDA segmentation + knapsack else).
   StatusOr<ThreadPlan> BuildPlan();
@@ -169,7 +145,6 @@ class EmTrainer {
   std::unique_ptr<ShardExecutor> executor_;
   StateSnapshot snapshot_;
   std::vector<CounterDelta> deltas_;
-  ExecutorFactory executor_factory_;
 
   /// Writes the accumulated trace to config.trace_out (no-op when tracing
   /// is off); logs a Warning instead of failing the run on IO errors.

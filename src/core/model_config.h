@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 #include "util/status.h"
 
@@ -47,11 +48,6 @@ enum class ExecutorMode {
   kSerial,
   /// Shards fan out over a persistent thread pool.
   kPooled,
-  /// Shards ship to cpd_worker processes over the src/dist wire protocol
-  /// (snapshot out, CounterDelta back). Bit-identical to kSerial/kPooled for
-  /// the same seed and shard count because shard RNG streams travel with
-  /// their shards. Requires dist_workers or dist_worker_addrs.
-  kDistributed,
 };
 
 /// Ablation / variant switches. Default = full CPD.
@@ -139,31 +135,16 @@ struct CpdConfig {
 
   CpdAblation ablation;
 
-  /// Distributed E-step (executor_mode == kDistributed). Exactly one of
-  /// dist_workers (auto-spawned local cpd_worker processes) or
-  /// dist_worker_addrs (comma-separated HOST:PORT list of pre-started
-  /// workers) must be set.
-  int dist_workers = 0;
-  std::string dist_worker_addrs;
-  /// Path of the worker binary to spawn; empty = "cpd_worker" next to the
-  /// running executable.
-  std::string dist_worker_binary;
-  /// Per-sweep deadline: shards still pending on a worker after this long
-  /// are re-dispatched to surviving workers (the stragglers are declared
-  /// dead).
-  int dist_sweep_deadline_ms = 30000;
-
   uint64_t seed = 42;
   int num_threads = 1;  ///< >1 enables the parallel E-step (§4.3).
   bool verbose = false;
 
   /// When non-empty, the trainer records per-sweep trace spans (snapshot,
-  /// shard sample, merge, augmentation, M-step; per-worker rows for the
-  /// distributed executor) and writes Chrome trace-event JSON here at the
-  /// end of Train()/WarmStart() — load it in Perfetto / chrome://tracing
-  /// (cpd_train --trace_out). Recording never perturbs sampling: executors
-  /// emit only wall-clock spans, so traced and untraced runs stay
-  /// bit-identical for the same seed.
+  /// shard sample, merge, augmentation, M-step) and writes Chrome
+  /// trace-event JSON here at the end of Train()/WarmStart() — load it in
+  /// Perfetto / chrome://tracing (cpd_train --trace_out). Recording never
+  /// perturbs sampling: the trainer emits only wall-clock spans, so traced
+  /// and untraced runs stay bit-identical for the same seed.
   std::string trace_out;
 
   /// Resolved priors.
@@ -176,24 +157,9 @@ struct CpdConfig {
     return std::min(0.1, 50.0 / static_cast<double>(num_communities));
   }
 
-  /// Number of distributed workers implied by the config: the spawn count,
-  /// or the address-list length when pre-started workers are used.
-  int ResolvedDistWorkers() const {
-    if (!dist_worker_addrs.empty()) {
-      return 1 + static_cast<int>(std::count(dist_worker_addrs.begin(),
-                                             dist_worker_addrs.end(), ','));
-    }
-    return dist_workers;
-  }
-
-  /// Resolved E-step sharding. Distributed runs default to one shard per
-  /// worker so every worker gets work; the serial-identity invariant then
-  /// requires comparing against a local run with the same shard count.
+  /// Resolved E-step sharding: num_shards, or one shard per thread.
   int ResolvedNumShards() const {
     if (num_shards > 0) return num_shards;
-    if (ResolvedExecutorMode() == ExecutorMode::kDistributed) {
-      return std::max(1, ResolvedDistWorkers());
-    }
     return std::max(1, num_threads);
   }
   ExecutorMode ResolvedExecutorMode() const {
@@ -217,19 +183,6 @@ struct CpdConfig {
       return Status::InvalidArgument("nu_learning_rate <= 0");
     }
     if (num_threads < 1) return Status::InvalidArgument("num_threads < 1");
-    if (dist_workers < 0) return Status::InvalidArgument("dist_workers < 0");
-    if (dist_workers > 0 && !dist_worker_addrs.empty()) {
-      return Status::InvalidArgument(
-          "dist_workers and dist_worker_addrs are mutually exclusive");
-    }
-    if (executor_mode == ExecutorMode::kDistributed &&
-        ResolvedDistWorkers() < 1) {
-      return Status::InvalidArgument(
-          "distributed executor requires dist_workers or dist_worker_addrs");
-    }
-    if (dist_sweep_deadline_ms < 1) {
-      return Status::InvalidArgument("dist_sweep_deadline_ms < 1");
-    }
     return Status::OK();
   }
 };

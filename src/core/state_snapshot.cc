@@ -78,150 +78,6 @@ void StateSnapshot::RestoreParametersTo(ModelState* working) const {
   working->popularity = popularity_;
 }
 
-void StateSnapshot::EncodeSweepState(WireWriter* writer) const {
-  CPD_CHECK(captured_);
-  writer->I32(num_communities_);
-  writer->I32(num_topics_);
-  writer->U64(vocab_size_);
-  writer->F64(alpha_);
-  writer->F64(beta_);
-  writer->Vec(doc_topic_);
-  writer->Vec(doc_community_);
-  writer->Vec(n_uc_);
-  writer->Vec(n_u_);
-  writer->Vec(n_cz_);
-  writer->Vec(n_c_);
-  writer->Vec(n_zw_);
-  writer->Vec(n_z_);
-  writer->Vec(lambda_);
-  writer->Vec(delta_);
-}
-
-Status StateSnapshot::DecodeSweepState(WireReader* reader) {
-  const int32_t communities = reader->I32();
-  const int32_t topics = reader->I32();
-  const uint64_t vocab = reader->U64();
-  alpha_ = reader->F64();
-  beta_ = reader->F64();
-  reader->Vec(&doc_topic_);
-  reader->Vec(&doc_community_);
-  reader->Vec(&n_uc_);
-  reader->Vec(&n_u_);
-  reader->Vec(&n_cz_);
-  reader->Vec(&n_c_);
-  reader->Vec(&n_zw_);
-  reader->Vec(&n_z_);
-  reader->Vec(&lambda_);
-  reader->Vec(&delta_);
-  CPD_RETURN_IF_ERROR(reader->status());
-  if (communities < 1 || topics < 1) {
-    return Status::InvalidArgument("snapshot: bad dimensions");
-  }
-  num_communities_ = communities;
-  num_topics_ = topics;
-  vocab_size_ = static_cast<size_t>(vocab);
-  if (doc_topic_.size() != doc_community_.size() ||
-      n_uc_.size() != n_u_.size() * static_cast<size_t>(communities) ||
-      n_cz_.size() != static_cast<size_t>(communities) *
-                          static_cast<size_t>(topics) ||
-      n_c_.size() != static_cast<size_t>(communities) ||
-      n_zw_.size() != static_cast<size_t>(topics) * vocab_size_ ||
-      n_z_.size() != static_cast<size_t>(topics)) {
-    return Status::InvalidArgument("snapshot: counter shape mismatch");
-  }
-  captured_ = true;
-  return Status::OK();
-}
-
-void StateSnapshot::EncodeParameters(WireWriter* writer) const {
-  CPD_CHECK_GT(parameters_version_, 0u);
-  writer->Vec(eta_);
-  writer->Vec(weights_);
-  popularity_.EncodeTo(writer);
-}
-
-Status StateSnapshot::DecodeParameters(WireReader* reader) {
-  reader->Vec(&eta_);
-  reader->Vec(&weights_);
-  CPD_RETURN_IF_ERROR(popularity_.DecodeFrom(reader));
-  CPD_RETURN_IF_ERROR(reader->status());
-  parameters_version_ = NextParametersVersion();
-  return Status::OK();
-}
-
-namespace {
-
-// Decode helper for the flat-index -> diff maps: validates the entry count
-// against the bytes actually remaining before looping, so a corrupt count
-// cannot drive a near-endless decode loop.
-template <typename Map, typename ReadKey, typename ReadValue>
-Status DecodeDiffMap(WireReader* reader, size_t entry_bytes, Map* out,
-                     ReadKey read_key, ReadValue read_value) {
-  const uint64_t n = reader->U64();
-  CPD_RETURN_IF_ERROR(reader->status());
-  if (n > reader->remaining() / entry_bytes) {
-    return Status::OutOfRange("wire: truncated payload");
-  }
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    const auto key = read_key(reader);
-    (*out)[key] = read_value(reader);
-  }
-  return reader->status();
-}
-
-}  // namespace
-
-void CounterDelta::EncodeTo(WireWriter* writer) const {
-  writer->U64(doc_moves_.size());
-  for (const DocMove& move : doc_moves_) {
-    writer->I32(move.doc);
-    writer->I32(move.topic);
-    writer->I32(move.community);
-  }
-  const auto encode_map = [writer](const auto& map, auto write_key,
-                                   auto write_value) {
-    writer->U64(map.size());
-    for (const auto& [k, v] : map) {
-      write_key(k);
-      write_value(v);
-    }
-  };
-  const auto i32 = [writer](int32_t v) { writer->I32(v); };
-  const auto i64 = [writer](int64_t v) { writer->I64(v); };
-  encode_map(user_community_, i64, i32);
-  encode_map(community_topic_, i64, i32);
-  encode_map(topic_word_, i64, i32);
-  encode_map(community_docs_, i32, i32);
-  encode_map(topic_tokens_, i32, i64);
-}
-
-Status CounterDelta::DecodeFrom(WireReader* reader) {
-  const uint64_t num_moves = reader->U64();
-  CPD_RETURN_IF_ERROR(reader->status());
-  if (num_moves > reader->remaining() / (3 * sizeof(int32_t))) {
-    return Status::OutOfRange("wire: truncated payload");
-  }
-  doc_moves_.clear();
-  doc_moves_.reserve(num_moves);
-  for (uint64_t i = 0; i < num_moves; ++i) {
-    DocMove move;
-    move.doc = reader->I32();
-    move.topic = reader->I32();
-    move.community = reader->I32();
-    doc_moves_.push_back(move);
-  }
-  const auto i32 = [](WireReader* r) { return r->I32(); };
-  const auto i64 = [](WireReader* r) { return r->I64(); };
-  CPD_RETURN_IF_ERROR(DecodeDiffMap(reader, 12, &user_community_, i64, i32));
-  CPD_RETURN_IF_ERROR(DecodeDiffMap(reader, 12, &community_topic_, i64, i32));
-  CPD_RETURN_IF_ERROR(DecodeDiffMap(reader, 12, &topic_word_, i64, i32));
-  CPD_RETURN_IF_ERROR(DecodeDiffMap(reader, 8, &community_docs_, i32, i32));
-  CPD_RETURN_IF_ERROR(DecodeDiffMap(reader, 12, &topic_tokens_, i32, i64));
-  return reader->status();
-}
-
 void CounterDelta::Clear() {
   doc_moves_.clear();
   user_community_.clear();

@@ -14,8 +14,7 @@
 ///    (topic/word, user/community, community/topic rows plus the document
 ///    assignment moves themselves), with an associative and commutative
 ///    Merge(). The trainer folds the per-shard deltas together and applies
-///    the result to the master state, which is exactly the parameter-server
-///    merge step a process/distributed executor needs.
+///    the result to the master state.
 ///
 /// A single shard restored from the snapshot and swept in order reproduces
 /// sequential collapsed Gibbs bit-for-bit (modulo the optional per-sweep
@@ -29,7 +28,6 @@
 
 #include "core/model_state.h"
 #include "graph/social_graph.h"
-#include "util/wire_format.h"
 
 namespace cpd {
 
@@ -84,18 +82,6 @@ class StateSnapshot {
   double alpha() const { return alpha_; }
   double beta() const { return beta_; }
 
-  /// Wire codec halves mirroring the capture split (distributed executor):
-  /// the sweep-state blob ships once per sweep, the parameter blob only when
-  /// parameters_version() changed. Decoding marks the receiving snapshot
-  /// captured; DecodeParameters assigns a fresh process-local version (the
-  /// sender's counter means nothing in another process — the sender signals
-  /// "parameters changed" by including the blob at all). Structural errors
-  /// are InvalidArgument; truncation surfaces as the reader's OutOfRange.
-  void EncodeSweepState(WireWriter* writer) const;
-  Status DecodeSweepState(WireReader* reader);
-  void EncodeParameters(WireWriter* writer) const;
-  Status DecodeParameters(WireReader* reader);
-
  private:
   bool captured_ = false;
   uint64_t parameters_version_ = 0;
@@ -146,12 +132,6 @@ class CounterDelta {
   /// assignment moves. Apply order is irrelevant (exact integer adds over
   /// disjoint or commuting entries).
   void ApplyTo(ModelState* state) const;
-
-  /// Wire codec (distributed executor result shipping). DecodeFrom replaces
-  /// this delta's contents; map entries round-trip in container order, which
-  /// is irrelevant to ApplyTo/Merge (commutative integer adds).
-  void EncodeTo(WireWriter* writer) const;
-  Status DecodeFrom(WireReader* reader);
 
  private:
   std::vector<DocMove> doc_moves_;

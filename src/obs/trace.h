@@ -6,17 +6,16 @@
 /// accumulate in memory during a run and serialize as trace-event JSON
 /// ({"traceEvents":[...]}), loadable in Perfetto / chrome://tracing.
 ///
-/// The trainer owns one recorder per run (cpd_train --trace_out) and the
-/// executors emit into it: per-sweep snapshot / sample / merge / augment
-/// spans on the trainer row, per-worker serialize / wait / merge rows for
-/// the distributed coordinator. Rows are integer tids named via
-/// SetThreadName metadata events — they are *logical* lanes (worker 0, 1,
-/// ...), not OS thread ids, so a trace reads as the protocol, not the
-/// scheduler. Timestamps come from obs::NowMicros() (injectable clock).
+/// The trainer owns one recorder per run (cpd_train --trace_out) and emits
+/// per-sweep snapshot / sample / merge / augment spans and one m_step span
+/// per EM iteration into it. Rows are integer tids named via SetThreadName
+/// metadata events — they are *logical* lanes, not OS thread ids, so a
+/// trace reads as the protocol, not the scheduler. Timestamps come from
+/// obs::NowMicros() (injectable clock).
 ///
-/// Recording is mutexed (trace cadence is per sweep / per worker message,
-/// never per token) and a null recorder pointer is the universal "tracing
-/// off" convention: emit sites guard with `if (trace_ != nullptr)`.
+/// Recording is mutexed (trace cadence is per sweep, never per token) and a
+/// null recorder pointer is the universal "tracing off" convention: emit
+/// sites guard with `if (trace_ != nullptr)`.
 
 #include <cstdint>
 #include <map>

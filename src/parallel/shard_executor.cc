@@ -47,8 +47,8 @@ class ShardExecutorBase : public ShardExecutor {
     return static_cast<int>(plan_.users_per_thread.size());
   }
 
-  Status SampleShards(const StateSnapshot& snapshot, const KernelFlags& flags,
-                      std::vector<CounterDelta>* deltas) override {
+  void SampleShards(const StateSnapshot& snapshot, const KernelFlags& flags,
+                    std::vector<CounterDelta>* deltas) override {
     CPD_CHECK(snapshot.captured());
     deltas->resize(static_cast<size_t>(num_shards()));
     if (config_.sampler_mode == SamplerMode::kSparse) {
@@ -59,10 +59,9 @@ class ShardExecutorBase : public ShardExecutor {
       RunShard(shard, snapshot, flags, &(*deltas)[static_cast<size_t>(shard)]);
       shard_seconds_[static_cast<size_t>(shard)] += timer.ElapsedSeconds();
     });
-    return Status::OK();
   }
 
-  Status SweepAugmentation(GibbsSampler* master_sampler) override {
+  void SweepAugmentation(GibbsSampler* master_sampler) override {
     const size_t nf = graph_.num_friendship_links();
     const size_t ne = graph_.num_diffusion_links();
     const size_t shards = static_cast<size_t>(num_shards());
@@ -75,7 +74,6 @@ class ShardExecutorBase : public ShardExecutor {
           ne * t / shards, ne * (t + 1) / shards, &rngs_[t]);
       shard_seconds_[t] += timer.ElapsedSeconds();
     });
-    return Status::OK();
   }
 
   const std::vector<double>& shard_seconds() const override {
@@ -177,8 +175,6 @@ class SerialExecutor final : public ShardExecutorBase {
       : ShardExecutorBase(graph, config, caches, std::move(plan),
                           /*max_concurrency=*/1) {}
 
-  const char* name() const override { return "serial"; }
-
  protected:
   Slot* AcquireSlot() override { return slots_[0].get(); }
   void ReleaseSlot(Slot* /*slot*/) override {}
@@ -196,8 +192,6 @@ class PooledExecutor final : public ShardExecutorBase {
     free_slots_.reserve(slots_.size());
     for (const auto& slot : slots_) free_slots_.push_back(slot.get());
   }
-
-  const char* name() const override { return "pooled"; }
 
   // At most num_threads shards run at once, which bounds the slot pool.
   void Dispatch(const std::function<void(int)>& fn) override {
@@ -241,11 +235,6 @@ std::unique_ptr<ShardExecutor> MakeShardExecutor(const SocialGraph& graph,
     case ExecutorMode::kPooled:
       return std::make_unique<PooledExecutor>(graph, config, caches,
                                               std::move(plan));
-    case ExecutorMode::kDistributed:
-      // Built through MakeDistributedExecutor (src/dist) — it can fail, so
-      // it returns StatusOr and cannot hide behind this factory.
-      CPD_CHECK(false);
-      break;
     case ExecutorMode::kAuto:
     case ExecutorMode::kSerial:
       break;

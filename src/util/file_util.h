@@ -27,8 +27,8 @@ StatusOr<std::vector<std::string>> ReadLines(const std::string& path);
 bool FileExists(const std::string& path);
 
 /// Directory containing the running executable (via /proc/self/exe), without
-/// a trailing slash; empty if it cannot be determined. Tools and tests use
-/// it to find sibling binaries (e.g. cpd_worker next to cpd_train).
+/// a trailing slash; empty if it cannot be determined. Tests use it to find
+/// sibling binaries (e.g. cpd_train next to the test binary).
 std::string CurrentExecutableDir();
 
 }  // namespace cpd

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace cpd {
 
@@ -66,6 +67,18 @@ StatusOr<uint64_t> GetUint64Flag(const FlagMap& flags, const std::string& name,
   return static_cast<uint64_t>(value);
 }
 
+StatusOr<int> GetIntFlag(const FlagMap& flags, const std::string& name,
+                         int fallback) {
+  const StatusOr<int64_t> value = GetInt64Flag(flags, name, fallback);
+  if (!value.ok()) return value.status();
+  if (*value < std::numeric_limits<int>::min() ||
+      *value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("--" + name + " is out of range, got '" +
+                                   flags.at(name) + "'");
+  }
+  return static_cast<int>(*value);
+}
+
 namespace {
 
 template <typename T>
@@ -90,6 +103,11 @@ uint64_t GetUint64FlagOrExit(const FlagMap& flags, const std::string& name,
                              uint64_t fallback,
                              const std::function<void()>& usage) {
   return FlagOrExit(GetUint64Flag(flags, name, fallback), usage);
+}
+
+int GetIntFlagOrExit(const FlagMap& flags, const std::string& name,
+                     int fallback, const std::function<void()>& usage) {
+  return FlagOrExit(GetIntFlag(flags, name, fallback), usage);
 }
 
 }  // namespace cpd

@@ -3,10 +3,10 @@
 
 /// \file flags.h
 /// Strict "--flag value" command-line parsing shared by the tools
-/// (cpd_train, cpd_query). Every argument must be a known --flag followed
-/// by a value; unknown flags, bare positional arguments, and a trailing
-/// flag with no value are typed errors so a mistyped invocation can never
-/// be silently half-applied.
+/// (cpd_train, cpd_query, cpd_serve, cpd_ingest). Every argument must be a
+/// known --flag followed by a value; unknown flags, bare positional
+/// arguments, and a trailing flag with no value are typed errors so a
+/// mistyped invocation can never be silently half-applied.
 
 #include <cstdint>
 #include <functional>
@@ -34,6 +34,10 @@ StatusOr<int64_t> GetInt64Flag(const FlagMap& flags, const std::string& name,
                                int64_t fallback);
 StatusOr<uint64_t> GetUint64Flag(const FlagMap& flags, const std::string& name,
                                  uint64_t fallback);
+/// GetInt64Flag narrowed to int: a value outside int's range is an
+/// InvalidArgument naming the flag, never a silent wrap.
+StatusOr<int> GetIntFlag(const FlagMap& flags, const std::string& name,
+                         int fallback);
 
 /// Tool-main conveniences: the value, or print the error to stderr, run
 /// `usage` (when given), and exit 2 — the one usage-error behavior shared
@@ -44,6 +48,9 @@ int64_t GetInt64FlagOrExit(const FlagMap& flags, const std::string& name,
 uint64_t GetUint64FlagOrExit(const FlagMap& flags, const std::string& name,
                              uint64_t fallback,
                              const std::function<void()>& usage = nullptr);
+int GetIntFlagOrExit(const FlagMap& flags, const std::string& name,
+                     int fallback,
+                     const std::function<void()>& usage = nullptr);
 
 }  // namespace cpd
 

@@ -92,18 +92,4 @@ bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
 
 Rng Rng::Split() { return Rng(Next64()); }
 
-Rng::State Rng::SaveState() const {
-  State state;
-  for (int i = 0; i < 4; ++i) state.s[i] = state_[i];
-  state.has_cached_gaussian = has_cached_gaussian_;
-  state.cached_gaussian = cached_gaussian_;
-  return state;
-}
-
-void Rng::LoadState(const State& state) {
-  for (int i = 0; i < 4; ++i) state_[i] = state.s[i];
-  has_cached_gaussian_ = state.has_cached_gaussian;
-  cached_gaussian_ = state.cached_gaussian;
-}
-
 }  // namespace cpd

@@ -52,21 +52,9 @@ class Rng {
   bool NextBernoulli(double p);
 
   /// Spawns an independent stream (re-seeded from this stream's output);
-  /// used to give each thread its own generator.
+  /// the shard executors give each shard its own generator this way, so a
+  /// shard draws the same sequence whichever thread runs it.
   Rng Split();
-
-  /// The full serializable generator state: the xoshiro256++ words plus the
-  /// polar method's cached second Gaussian. Shipping this (instead of a
-  /// seed) is what lets the distributed executor hand a shard's stream to
-  /// any worker — or re-dispatch it after a worker dies — and continue the
-  /// exact sequence a local executor would have drawn.
-  struct State {
-    uint64_t s[4] = {0, 0, 0, 0};
-    bool has_cached_gaussian = false;
-    double cached_gaussian = 0.0;
-  };
-  State SaveState() const;
-  void LoadState(const State& state);
 
  private:
   uint64_t state_[4];

@@ -3,10 +3,9 @@
 // sized by a forged header, never a silent mis-load. Both decode paths are
 // driven for every corruption: the heap codec (DecodeModelArtifact) and the
 // zero-copy loader (MappedModelArtifact::Open on a real temp file). The
-// corruption taxonomy mirrors dist_wire_test: bad magic / foreign
-// endianness / corrupt header fields are InvalidArgument, any version but
-// the current one is Unimplemented, and truncation and out-of-bounds
-// sections are OutOfRange.
+// corruption taxonomy: bad magic / foreign endianness / corrupt header
+// fields are InvalidArgument, any version but the current one is
+// Unimplemented, and truncation and out-of-bounds sections are OutOfRange.
 
 #include <gtest/gtest.h>
 

@@ -162,6 +162,48 @@ TEST(EmTrainerTest, EmptyGraphRejected) {
   EXPECT_FALSE(trainer.Train().ok());
 }
 
+// The M-step splits its per-example work over the executor's Dispatch, one
+// example range per shard. From one state, the serial and pooled executors
+// (any thread and shard count) must fit bit-identical weights.
+std::vector<double> MStepWeightsFrom(const SynthResult& data,
+                                     const ModelState& from,
+                                     const CpdConfig& config) {
+  EmTrainer trainer(data.graph, config);
+  EXPECT_TRUE(trainer.Initialize().ok());
+  EXPECT_TRUE(trainer.EStep().ok());  // Builds the executor.
+  *trainer.mutable_state() = from;
+  trainer.MStep();
+  return trainer.state().weights;
+}
+
+TEST(EmTrainerTest, MStepWeightsBitIdenticalAcrossExecutors) {
+  const SynthResult data = testing::MakeTinyGraph(42);
+  CpdConfig config = TrainerConfig();
+  config.em_iterations = 2;
+  config.gibbs_sweeps_per_em = 2;
+  config.executor_mode = ExecutorMode::kSerial;
+  config.num_shards = 1;
+  EmTrainer reference(data.graph, config);
+  ASSERT_TRUE(reference.Train().ok());
+  const ModelState& from = reference.state();
+  const std::vector<double> expected = MStepWeightsFrom(data, from, config);
+  ASSERT_NE(expected, from.weights);  // The M-step moved the weights.
+
+  CpdConfig serial_config = config;
+  serial_config.num_shards = 4;
+  EXPECT_EQ(MStepWeightsFrom(data, from, serial_config), expected);
+  for (const int threads : {1, 2, 4}) {
+    for (const int shards : {1, 2, 4}) {
+      CpdConfig pooled_config = config;
+      pooled_config.executor_mode = ExecutorMode::kPooled;
+      pooled_config.num_threads = threads;
+      pooled_config.num_shards = shards;
+      EXPECT_EQ(MStepWeightsFrom(data, from, pooled_config), expected)
+          << threads << " threads x " << shards << " shards";
+    }
+  }
+}
+
 // Golden chain: the exact values a small fixed-seed sparse run produced
 // before the per-user friend evaluators, the |C|-array diffusion score and
 // the pooled M-step replaced the per-document kernels. The executor-identity

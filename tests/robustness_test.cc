@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/cpd_model.h"
 #include "graph/graph_builder.h"
 #include "test_util.h"
+#include "util/file_util.h"
 
 namespace cpd {
 namespace {
@@ -128,6 +136,71 @@ TEST(RobustnessTest, RejectsOversizedPriors) {
   config.num_topics = 4;
   config.beta = 0.0;  // Invalid.
   EXPECT_FALSE(CpdModel::Train(data.graph, config).ok());
+}
+
+// ----- cpd_train flag validation: a bad invocation is a usage error (exit
+// 2) before any training starts -----
+
+class CpdTrainFlagsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    binary_ = CurrentExecutableDir() + "/cpd_train";
+    if (::access(binary_.c_str(), X_OK) != 0) {
+      GTEST_SKIP() << "cpd_train binary not built next to the test binary";
+    }
+    const std::string dir = ::testing::TempDir();
+    docs_ = dir + "/train_flags_docs.tsv";
+    friends_ = dir + "/train_flags_friends.tsv";
+    diffusion_ = dir + "/train_flags_diffusion.tsv";
+    stderr_path_ = dir + "/train_flags_stderr.txt";
+    std::ofstream(docs_) << "0\t0\talpha beta gamma delta\n"
+                         << "1\t1\tbeta gamma delta epsilon\n";
+    std::ofstream(friends_) << "0\t1\n";
+    std::ofstream(diffusion_) << "";
+  }
+
+  // Runs cpd_train with `extra_flags` and returns its exit code; its stderr
+  // lands in stderr_.
+  int Run(const std::string& extra_flags) {
+    const std::string cmd = binary_ + " --users 2 --docs " + docs_ +
+                            " --friends " + friends_ + " --diffusion " +
+                            diffusion_ + " " + extra_flags +
+                            " >/dev/null 2>" + stderr_path_;
+    const int rc = std::system(cmd.c_str());
+    std::ifstream in(stderr_path_);
+    stderr_.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  }
+
+  bool StderrHas(const std::string& text) const {
+    return stderr_.find(text) != std::string::npos;
+  }
+
+  std::string binary_, docs_, friends_, diffusion_, stderr_path_, stderr_;
+};
+
+TEST_F(CpdTrainFlagsTest, UnknownExecutorNameIsUsageError) {
+  EXPECT_EQ(Run("--executor bogus"), 2);
+  EXPECT_TRUE(StderrHas("unknown --executor 'bogus' (auto|serial|pooled)\n"))
+      << stderr_;
+}
+
+TEST_F(CpdTrainFlagsTest, DistributedExecutorIsUnknown) {
+  EXPECT_EQ(Run("--executor distributed"), 2);
+  EXPECT_TRUE(StderrHas("unknown --executor 'distributed'")) << stderr_;
+}
+
+TEST_F(CpdTrainFlagsTest, WorkersFlagIsUnknown) {
+  EXPECT_EQ(Run("--workers 2"), 2);
+  EXPECT_TRUE(StderrHas("unknown flag --workers")) << stderr_;
+}
+
+// 4294967298 = 2^32 + 2 would narrow to 2 communities if the flag were cast
+// to int unchecked.
+TEST_F(CpdTrainFlagsTest, OutOfRangeCommunitiesIsUsageError) {
+  EXPECT_EQ(Run("--communities 4294967298"), 2);
+  EXPECT_TRUE(StderrHas("--communities is out of range")) << stderr_;
 }
 
 }  // namespace

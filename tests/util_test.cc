@@ -144,7 +144,9 @@ TEST(TableWriterTest, CsvEscapesSpecials) {
 TEST(FlagsTest, TypedGettersParseAndReject) {
   FlagMap flags{{"port", "8080"},  {"seed", "18446744073709551615"},
                 {"bad", "12x"},    {"neg", "-3"},
-                {"empty", ""},     {"huge", "99999999999999999999999"}};
+                {"empty", ""},     {"huge", "99999999999999999999999"},
+                {"wide", "4294967298"}, {"wide_neg", "-4294967295"},
+                {"int_max", "2147483647"}, {"int_min", "-2147483648"}};
   EXPECT_EQ(*GetInt64Flag(flags, "port", 0), 8080);
   EXPECT_EQ(*GetInt64Flag(flags, "absent", -7), -7);
   EXPECT_EQ(*GetInt64Flag(flags, "neg", 0), -3);
@@ -160,6 +162,18 @@ TEST(FlagsTest, TypedGettersParseAndReject) {
   }
   EXPECT_FALSE(GetUint64Flag(flags, "neg", 0).ok());
   EXPECT_FALSE(GetUint64Flag(flags, "bad", 0).ok());
+  // The int getter keeps int's full range and rejects anything wider by
+  // name instead of wrapping it (4294967298 would narrow to 2).
+  EXPECT_EQ(*GetIntFlag(flags, "port", 0), 8080);
+  EXPECT_EQ(*GetIntFlag(flags, "absent", -7), -7);
+  EXPECT_EQ(*GetIntFlag(flags, "int_max", 0), 2147483647);
+  EXPECT_EQ(*GetIntFlag(flags, "int_min", 0), -2147483647 - 1);
+  for (const char* bad : {"wide", "wide_neg", "bad", "huge"}) {
+    const auto value = GetIntFlag(flags, bad, 0);
+    EXPECT_FALSE(value.ok()) << bad;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(bad), std::string::npos);
+  }
 }
 
 TEST(TableWriterTest, FormatDoublePrecision) {

@@ -19,6 +19,10 @@
 #      notes must exist — as written, or as <path>.cc for a binary named
 #      after its source — so docs cannot keep pointing at a deleted file.
 #      Glob and placeholder spellings (*, <name>, {a,b}) are skipped.
+#   7. every suite named in a ctest -R '...' regex of the CI workflow or
+#      the verify skill notes must have its source tests/<name>.cc (CMake
+#      registers one ctest per tests/*_test.cc), so a sanitizer job cannot
+#      quietly shrink: an unknown name in the regex matches nothing.
 # Exits non-zero listing every violation.
 
 set -u
@@ -141,9 +145,29 @@ for path in $doc_paths; do
   fi
 done
 
+# ----- 7. suites in ctest -R regexes have a tests/<name>.cc -----
+regex_docs=$(ls .github/workflows/ci.yml .claude/skills/verify/SKILL.md \
+               2>/dev/null)
+suite_names=$(grep -ohE -- "-R +['\"][^'\"]*['\"]" $regex_docs |
+              sed -E "s/^-R +['\"]//; s/['\"]$//" | tr '|' '\n' |
+              sed -E 's/^\^//; s/\$$//' | sort -u)
+if [ -z "$suite_names" ] &&
+   grep -qE -- '(-R|--tests-regex) ' $regex_docs; then
+  echo "ERROR: a ctest regex is present but no suite names were extracted" \
+       "(did the -R '...' idiom change?)"
+  failures=1
+fi
+for name in $suite_names; do
+  if [ ! -f "tests/$name.cc" ]; then
+    echo "UNKNOWN SUITE: $name (named in a ctest -R regex, but" \
+         "tests/$name.cc does not exist)"
+    failures=1
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
 echo "docs check OK (links resolve, every route, metric, flag, bench" \
-     "binary and repo path checked)"
+     "binary, repo path and ctest -R suite checked)"

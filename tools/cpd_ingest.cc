@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   cpd::FlagMap args = std::move(*parsed);
   const auto usage = [argv] { Usage(argv[0]); };
   const auto int_flag = [&args, &usage](const std::string& name,
-                                        int64_t fallback) {
-    return cpd::GetInt64FlagOrExit(args, name, fallback, usage);
+                                        int fallback) {
+    return cpd::GetIntFlagOrExit(args, name, fallback, usage);
   };
   for (const char* required :
        {"model", "update", "out", "users", "docs", "friends", "diffusion"}) {
@@ -108,10 +108,10 @@ int main(int argc, char** argv) {
   options.config = model->config();
   options.config.num_communities = model->num_communities();
   options.config.num_topics = model->num_topics();
-  options.config.num_threads = static_cast<int>(int_flag("threads", 1));
-  options.config.num_shards = static_cast<int>(int_flag("shards", 0));
+  options.config.num_threads = int_flag("threads", 1);
+  options.config.num_shards = int_flag("shards", 0);
   options.config.seed = cpd::GetUint64FlagOrExit(args, "seed", 42, usage);
-  options.warm_iterations = static_cast<int>(int_flag("warm_iters", 2));
+  options.warm_iterations = int_flag("warm_iters", 2);
   options.base_generation = base_generation;
 
   auto pipeline =

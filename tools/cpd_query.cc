@@ -195,13 +195,12 @@ int main(int argc, char** argv) {
   // identically to cpd_train / cpd_serve.
   const auto usage = [argv] { Usage(argv[0]); };
   const auto int_flag = [&args, &usage](const std::string& name,
-                                        int64_t fallback) {
-    return cpd::GetInt64FlagOrExit(args, name, fallback, usage);
+                                        int fallback) {
+    return cpd::GetIntFlagOrExit(args, name, fallback, usage);
   };
 
   cpd::serve::ProfileIndexOptions options;
-  options.membership_top_k =
-      static_cast<int>(int_flag("top_k", options.membership_top_k));
+  options.membership_top_k = int_flag("top_k", options.membership_top_k);
   cpd::WallTimer load_timer;
   auto bundle = cpd::serve::LoadModelBundle(args["model"], options);
   if (!bundle.ok()) {
@@ -278,8 +277,7 @@ int main(int argc, char** argv) {
       commands.push_back(line);
       requests.push_back(std::move(*request));
     }
-    const int threads =
-        std::max(1, static_cast<int>(int_flag("threads", 1)));
+    const int threads = std::max(1, int_flag("threads", 1));
     std::optional<cpd::ThreadPool> pool;
     if (threads > 1) pool.emplace(static_cast<size_t>(threads));
     cpd::WallTimer timer;

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
   // identically to cpd_train / cpd_query.
   const auto usage = [argv] { Usage(argv[0]); };
   const auto int_flag = [&args, &usage](const std::string& name,
-                                        int64_t fallback) {
-    return cpd::GetInt64FlagOrExit(args, name, fallback, usage);
+                                        int fallback) {
+    return cpd::GetIntFlagOrExit(args, name, fallback, usage);
   };
 
   if (args.count("log_level")) {
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
 
   cpd::serve::ProfileIndexOptions index_options;
   index_options.membership_top_k =
-      static_cast<int>(int_flag("top_k", index_options.membership_top_k));
+      int_flag("top_k", index_options.membership_top_k);
   // --load_mode mmap (default) serves the artifact straight off the page
   // cache; heap copies it (the reference path, for network filesystems or
   // a self-contained RSS).
@@ -216,10 +216,8 @@ int main(int argc, char** argv) {
       ingest_options.config = trained->config();
       ingest_options.config.num_communities = trained->num_communities();
       ingest_options.config.num_topics = trained->num_topics();
-      ingest_options.config.num_threads =
-          static_cast<int>(int_flag("ingest_threads", 1));
-      ingest_options.warm_iterations =
-          static_cast<int>(int_flag("warm_iters", 2));
+      ingest_options.config.num_threads = int_flag("ingest_threads", 1);
+      ingest_options.warm_iterations = int_flag("warm_iters", 2);
       ingest_options.artifact_base =
           args.count("ingest_out") ? args["ingest_out"] : args["model"];
       ingest_options.base_generation =
@@ -240,8 +238,8 @@ int main(int argc, char** argv) {
 
   cpd::server::HttpServerOptions options;
   options.host = args.count("host") ? args["host"] : options.host;
-  options.port = static_cast<int>(int_flag("port", 8080));
-  options.threads = static_cast<int>(int_flag("threads", options.threads));
+  options.port = int_flag("port", 8080);
+  options.threads = int_flag("threads", options.threads);
   // The serving binary defaults to the event loop; the library default
   // stays blocking so embedded/test users opt in explicitly.
   options.io_mode = cpd::server::IoMode::kEpoll;
@@ -255,19 +253,17 @@ int main(int argc, char** argv) {
     options.io_mode = *mode;
   }
   options.max_connections =
-      static_cast<int>(int_flag("max_connections", options.max_connections));
-  options.max_inflight =
-      static_cast<int>(int_flag("max_inflight", options.max_inflight));
-  options.deadline_ms =
-      static_cast<int>(int_flag("deadline_ms", options.deadline_ms));
+      int_flag("max_connections", options.max_connections);
+  options.max_inflight = int_flag("max_inflight", options.max_inflight);
+  options.deadline_ms = int_flag("deadline_ms", options.deadline_ms);
   // Requests slower than this get a Warning line with the per-stage
   // breakdown (0 disables the slow log).
-  options.slow_request_us = int_flag("slow_request_ms", 500) * 1000;
+  options.slow_request_us =
+      cpd::GetInt64FlagOrExit(args, "slow_request_ms", 500, usage) * 1000;
 
   cpd::server::CoalescerOptions coalescer_options;
-  coalescer_options.window_us =
-      static_cast<int>(int_flag("coalesce_window_us", 0));
-  coalescer_options.max_batch = static_cast<int>(int_flag("coalesce_max", 16));
+  coalescer_options.window_us = int_flag("coalesce_window_us", 0);
+  coalescer_options.max_batch = int_flag("coalesce_max", 16);
   cpd::server::Coalescer coalescer(coalescer_options);
   if (coalescer.enabled()) {
     std::printf("request coalescing enabled (window %d us, max batch %d)\n",

@@ -9,17 +9,15 @@
 //             --diffusion diffusion.tsv [--communities 20] [--topics 20]
 //             [--iterations 15] [--threads 1] [--seed 42]
 //             [--sampler sparse|dense] [--mh_steps 4]
-//             [--executor auto|serial|pooled|distributed] [--shards 0]
-//             [--workers N | --worker_addrs H:P,H:P] [--worker_binary PATH]
-//             [--sweep_deadline_ms 30000]
+//             [--executor auto|serial|pooled] [--shards 0]
 //             [--model_binary out.cpdb]
 //             [--vocab out.vocab] [--dot diffusion.dot]
 //             [--json profiles.json]
 //             [--trace_out sweeps.json] [--log_level info]
 //
 // --trace_out writes a Chrome trace-event JSON timeline of the run (one
-// span per sweep phase, per-worker rows for the distributed executor);
-// load it in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// span per sweep phase); load it in Perfetto (ui.perfetto.dev) or
+// chrome://tracing.
 //
 // Prints dataset statistics, training progress, community labels and the
 // topic-aggregated diffusion matrix; optionally saves the model (a .cpdb
@@ -50,10 +48,8 @@ void Usage(const char* argv0) {
                "          [--communities 20] [--topics 20] [--iterations 15]\n"
                "          [--threads 1] [--seed 42] [--sampler sparse|dense]\n"
                "          [--mh_steps 4]\n"
-               "          [--executor auto|serial|pooled|distributed]\n"
-               "          [--workers N | --worker_addrs H:P,H:P]\n"
-               "          [--worker_binary PATH] [--sweep_deadline_ms 30000]\n"
-               "          [--shards 0] [--model_binary out.cpdb]\n"
+               "          [--executor auto|serial|pooled] [--shards 0]\n"
+               "          [--model_binary out.cpdb]\n"
                "          [--vocab out.vocab]\n"
                "          [--dot out.dot] [--json out.json]\n"
                "          [--trace_out sweeps.json]\n"
@@ -62,11 +58,10 @@ void Usage(const char* argv0) {
 }
 
 const std::set<std::string> kKnownFlags = {
-    "users",    "docs",     "friends",      "diffusion", "communities",
-    "topics",   "iterations", "threads",    "seed",      "sampler",
-    "mh_steps", "executor", "shards",       "model_binary", "vocab",
-    "dot",      "json",     "workers",      "worker_addrs", "worker_binary",
-    "sweep_deadline_ms", "trace_out", "log_level"};
+    "users",    "docs",       "friends",  "diffusion",    "communities",
+    "topics",   "iterations", "threads",  "seed",         "sampler",
+    "mh_steps", "executor",   "shards",   "model_binary", "vocab",
+    "dot",      "json",       "trace_out", "log_level"};
 
 }  // namespace
 
@@ -86,8 +81,8 @@ int main(int argc, char** argv) {
   // identically to cpd_query / cpd_serve.
   const auto usage = [argv] { Usage(argv[0]); };
   const auto int_flag = [&args, &usage](const std::string& name,
-                                        int64_t fallback) {
-    return cpd::GetInt64FlagOrExit(args, name, fallback, usage);
+                                        int fallback) {
+    return cpd::GetIntFlagOrExit(args, name, fallback, usage);
   };
   if (!args.count("users") || !args.count("docs") || !args.count("friends") ||
       !args.count("diffusion")) {
@@ -106,10 +101,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", cpd::GraphStatsToString(cpd::ComputeGraphStats(*graph)).c_str());
 
   cpd::CpdConfig config;
-  config.num_communities = static_cast<int>(int_flag("communities", 20));
-  config.num_topics = static_cast<int>(int_flag("topics", 20));
-  config.em_iterations = static_cast<int>(int_flag("iterations", 15));
-  config.num_threads = static_cast<int>(int_flag("threads", 1));
+  config.num_communities = int_flag("communities", 20);
+  config.num_topics = int_flag("topics", 20);
+  config.em_iterations = int_flag("iterations", 15);
+  config.num_threads = int_flag("threads", 1);
   config.seed = cpd::GetUint64FlagOrExit(args, "seed", 42, usage);
   const std::string sampler = get("sampler", "sparse");
   if (sampler == "dense") {
@@ -119,54 +114,19 @@ int main(int argc, char** argv) {
                  sampler.c_str());
     return 2;
   }
-  config.mh_steps =
-      static_cast<int>(int_flag("mh_steps", cpd::CpdConfig().mh_steps));
+  config.mh_steps = int_flag("mh_steps", cpd::CpdConfig().mh_steps);
   const std::string executor = get("executor", "auto");
   if (executor == "serial") {
     config.executor_mode = cpd::ExecutorMode::kSerial;
   } else if (executor == "pooled") {
     config.executor_mode = cpd::ExecutorMode::kPooled;
-  } else if (executor == "distributed") {
-    config.executor_mode = cpd::ExecutorMode::kDistributed;
   } else if (executor != "auto") {
-    std::fprintf(stderr,
-                 "unknown --executor '%s' (auto|serial|pooled|distributed)\n",
+    std::fprintf(stderr, "unknown --executor '%s' (auto|serial|pooled)\n",
                  executor.c_str());
     Usage(argv[0]);
     return 2;
   }
-  config.num_shards = static_cast<int>(int_flag("shards", 0));
-  // Distributed-executor wiring. The flag pairings are validated here so a
-  // contradictory invocation is a usage error (exit 2), not a late training
-  // failure.
-  config.dist_workers = static_cast<int>(int_flag("workers", 0));
-  config.dist_worker_addrs = get("worker_addrs", "");
-  config.dist_worker_binary = get("worker_binary", "");
-  config.dist_sweep_deadline_ms = static_cast<int>(
-      int_flag("sweep_deadline_ms", cpd::CpdConfig().dist_sweep_deadline_ms));
-  if (config.dist_workers > 0 && !config.dist_worker_addrs.empty()) {
-    std::fprintf(stderr,
-                 "--workers and --worker_addrs are mutually exclusive\n");
-    Usage(argv[0]);
-    return 2;
-  }
-  const bool has_dist_flags =
-      config.dist_workers > 0 || !config.dist_worker_addrs.empty();
-  if (config.executor_mode == cpd::ExecutorMode::kDistributed &&
-      !has_dist_flags) {
-    std::fprintf(stderr,
-                 "--executor distributed requires --workers N or "
-                 "--worker_addrs H:P,...\n");
-    Usage(argv[0]);
-    return 2;
-  }
-  if (config.executor_mode != cpd::ExecutorMode::kDistributed &&
-      has_dist_flags) {
-    std::fprintf(stderr,
-                 "--workers/--worker_addrs require --executor distributed\n");
-    Usage(argv[0]);
-    return 2;
-  }
+  config.num_shards = int_flag("shards", 0);
   config.verbose = true;
   config.trace_out = get("trace_out", "");
   if (args.count("log_level")) {
@@ -205,16 +165,6 @@ int main(int argc, char** argv) {
                         static_cast<double>(collapse_total)
                   : 0.0,
               static_cast<long long>(collapse_total));
-  if (stats.dist_workers_connected > 0) {
-    std::printf("distributed E-step: %d workers (%d lost, %lld shards "
-                "re-dispatched); %.1f MB out, %.1f MB in; serialize %.2fs, "
-                "wait %.2fs\n",
-                stats.dist_workers_connected, stats.dist_workers_lost,
-                static_cast<long long>(stats.dist_shards_redispatched),
-                static_cast<double>(stats.dist_bytes_out) / 1e6,
-                static_cast<double>(stats.dist_bytes_in) / 1e6,
-                stats.dist_serialize_seconds, stats.dist_wait_seconds);
-  }
 
   const cpd::Vocabulary& vocab = graph->corpus().vocabulary();
   std::printf("communities:\n");
