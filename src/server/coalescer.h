@@ -17,7 +17,7 @@
 /// over the sealed slots and wakes the followers, each of which takes its
 /// own positionally-aligned StatusOr — QueryBatch executes exactly
 /// `Query(request)` per slot, so a coalesced response is byte-identical to
-/// an uncoalesced one (the io-mode differential suite pins this).
+/// an uncoalesced one (the server determinism suite pins this).
 ///
 /// Handler threads block at most ~window_us + batch execution; the leader
 /// executes inline on its own worker thread (never re-entering the server

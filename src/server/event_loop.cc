@@ -217,8 +217,7 @@ void EventLoop::AcceptAll() {
     if (stopping_.load(std::memory_order_acquire) ||
         connections_.size() >=
             static_cast<size_t>(options_.max_connections)) {
-      // Same shed the blocking listener performs at its thread cap:
-      // best-effort 429, then close.
+      // Over capacity (or draining): best-effort 429, then close.
       const std::string shed =
           SerializeResponse(handler_->OnConnectionShed(), false);
       [[maybe_unused]] ssize_t n =
@@ -299,8 +298,8 @@ void EventLoop::ProcessParsed(Connection* connection) {
     case RequestParser::State::kBody:
       if (connection->peer_closed) {
         if (connection->parser.HasPartialData()) {
-          // Mid-message close: answer the malformed framing (parity with
-          // the blocking loop's 400) even though the write is best-effort.
+          // Mid-message close: answer the malformed framing with a 400
+          // even though the write is best-effort.
           const bool mid_body =
               connection->parser.state() == RequestParser::State::kBody;
           const HttpResponse response = handler_->OnFramingError(
@@ -390,7 +389,7 @@ void EventLoop::DrainCompletions() {
     }
     if (!completion.keep_alive) connection->close_after_write = true;
     // Only completion responses time the write stage (framing/shed writes
-    // do not), matching the blocking path's per-dispatched-request sample.
+    // do not): one sample per dispatched request.
     connection->write_start_us = obs::NowMicros();
     QueueWrite(connection,
                SerializeResponse(completion.response, completion.keep_alive));
@@ -431,8 +430,7 @@ void EventLoop::SweepIdle() {
 
 void EventLoop::CloseIdleForDrain() {
   // Keep-alive connections with no request in flight and nothing queued to
-  // write are closed outright — parity with the blocking path's SHUT_RD
-  // nudging idle readers to observe EOF.
+  // write are closed outright; the client sees a clean end-of-stream.
   std::vector<uint64_t> idle;
   for (const auto& [token, connection] : connections_) {
     if (!connection.in_flight && connection.out.empty()) {

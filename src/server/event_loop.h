@@ -2,7 +2,7 @@
 #define CPD_SERVER_EVENT_LOOP_H_
 
 /// \file event_loop.h
-/// Epoll-based I/O backend of HttpServer (--io_mode epoll): one loop thread
+/// Epoll-based I/O path of HttpServer: one loop thread
 /// multiplexes every connection through readiness-driven state machines
 /// (read -> parse -> dispatch -> write), so 16 -> 10k keep-alive
 /// connections stop costing a blocked thread each. The loop never runs
@@ -26,14 +26,15 @@
 ///               framing error, draining) or re-arm EPOLLIN — buffered
 ///               pipelined bytes are parsed immediately.
 ///
-/// Graceful drain mirrors the blocking path: Stop() stops accepting,
-/// closes idle connections, lets in-flight requests finish and write their
-/// responses, and force-closes stragglers after 10 s.
+/// Graceful drain: Stop() stops accepting, closes idle connections, lets
+/// in-flight requests finish and write their responses, and force-closes
+/// stragglers after 10 s. Between requests, a connection idle for
+/// idle_timeout_ms is closed by the periodic sweep.
 ///
 /// Admission at the accept edge is capacity-based (max_connections — the
 /// loop does not spend a thread per connection, so the bound is a memory
-/// cap, not the pool size); over-cap accepts get the same serialized 429
-/// the blocking path sheds with.
+/// cap, not the pool size); over-cap accepts get the serialized 429 the
+/// handler renders, then close.
 
 #include <atomic>
 #include <chrono>
@@ -73,8 +74,8 @@ class EventLoopHandler {
 
   /// One completion response fully flushed to the socket; `micros` is
   /// queued-for-write to last-byte-written (the "write" request stage).
-  /// Framing-error and shed writes are not reported, so the sample count
-  /// matches the blocking path's one-sample-per-dispatched-request.
+  /// Framing-error and shed writes are not reported, so there is one
+  /// sample per dispatched request.
   virtual void OnResponseWritten(double /*micros*/) {}
 };
 

@@ -28,6 +28,15 @@ std::string AsciiLower(std::string_view text) {
   return out;
 }
 
+/// True when a head line holds a CR, LF or NUL. Lines split only on CRLF,
+/// so a bare CR/LF would survive into the target or a header value and,
+/// logged or echoed back (X-Request-Id), split the log line or the
+/// response (RFC 9110 §5.5).
+bool HasLineBreakOrNul(std::string_view line) {
+  return line.find_first_of(std::string_view("\r\n\0", 3)) !=
+         std::string_view::npos;
+}
+
 /// %xx-decodes a query component ('+' is a space).
 std::string UrlDecode(std::string_view text) {
   std::string out;
@@ -129,6 +138,9 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
     return Status::InvalidArgument("missing request line terminator");
   }
   const std::string_view line = head.substr(0, line_end);
+  if (HasLineBreakOrNul(line)) {
+    return Status::InvalidArgument("request line contains CR, LF or NUL");
+  }
   const size_t method_end = line.find(' ');
   const size_t target_end =
       method_end == std::string_view::npos ? std::string_view::npos
@@ -158,11 +170,19 @@ StatusOr<HttpRequest> ParseRequestHead(std::string_view head) {
         head.substr(pos, next == std::string_view::npos ? head.size() - pos
                                                         : next - pos);
     if (header_line.empty()) break;
+    if (HasLineBreakOrNul(header_line)) {
+      return Status::InvalidArgument("header line contains CR, LF or NUL");
+    }
     const size_t colon = header_line.find(':');
     if (colon == std::string_view::npos || colon == 0) {
       return Status::InvalidArgument("malformed header line");
     }
     const std::string name = AsciiLower(Trim(header_line.substr(0, colon)));
+    // A second Content-Length would silently win and leave the rest of the
+    // body to be parsed as a pipelined request (RFC 9112 §6.3).
+    if (name == "content-length" && request.headers.count(name) != 0) {
+      return Status::InvalidArgument("duplicate Content-Length");
+    }
     request.headers[name] =
         std::string(Trim(header_line.substr(colon + 1)));
     if (next == std::string_view::npos) break;
@@ -238,15 +258,24 @@ RequestParser::State RequestParser::Advance() {
     if (!request.ok()) return Fail(400, request.status());
     request_ = std::move(*request);
 
+    // Transfer-Encoding is rejected even beside a Content-Length: a peer
+    // that honours it would frame the body differently (RFC 9112 §6.3).
+    if (!request_.Header("Transfer-Encoding").empty()) {
+      return Fail(400, Status::InvalidArgument(
+                           "chunked transfer encoding not supported"));
+    }
     body_size_ = 0;
-    const std::string& length = request_.Header("Content-Length");
-    if (!length.empty()) {
-      char* end = nullptr;
-      const unsigned long long parsed =
-          std::strtoull(length.c_str(), &end, 10);
-      if (end != length.c_str() + length.size()) {
+    const auto length = request_.headers.find("content-length");
+    if (length != request_.headers.end()) {
+      // Digits only: an empty value would otherwise frame no body and leave
+      // the body to be parsed as a pipelined request (RFC 9112 §6.3).
+      if (length->second.empty() ||
+          length->second.find_first_not_of("0123456789") !=
+              std::string::npos) {
         return Fail(400, Status::InvalidArgument("malformed Content-Length"));
       }
+      const unsigned long long parsed =
+          std::strtoull(length->second.c_str(), nullptr, 10);
       // The declared length is checked here, before a single body byte is
       // buffered: an oversized upload costs the server one head, never
       // max_body_bytes of memory.
@@ -255,9 +284,6 @@ RequestParser::State RequestParser::Advance() {
             413, Status::OutOfRange("request body exceeds the size cap"));
       }
       body_size_ = static_cast<size_t>(parsed);
-    } else if (!request_.Header("Transfer-Encoding").empty()) {
-      return Fail(400, Status::InvalidArgument(
-                           "chunked transfer encoding not supported"));
     }
     state_ = State::kBody;
   }
@@ -280,6 +306,36 @@ HttpRequest RequestParser::TakeRequest() {
 }
 
 // ----- HttpStream -----
+
+namespace {
+
+/// Buffered blocking reader/writer over a client's connected socket
+/// (HttpClient's transport). Does not own the fd; ReadResponse blocks
+/// until a full message, a size cap, or the peer closes (typed errors:
+/// InvalidArgument = malformed framing, OutOfRange = over a size cap,
+/// NotFound = peer closed cleanly between messages, IOError = socket
+/// error).
+class HttpStream {
+ public:
+  explicit HttpStream(int fd) : fd_(fd) {}
+
+  /// Reads one full response.
+  StatusOr<HttpResponse> ReadResponse(size_t max_body_bytes);
+
+  /// Writes the whole buffer (MSG_NOSIGNAL; EPIPE is an IOError, never a
+  /// process signal).
+  Status WriteAll(std::string_view bytes);
+
+ private:
+  /// Ensures buffer_ holds a full "\r\n\r\n"-terminated head; returns its
+  /// length including the terminator.
+  StatusOr<size_t> BufferHead(size_t max_head_bytes);
+  /// Ensures buffer_ holds >= `total` bytes.
+  Status BufferBody(size_t total);
+
+  int fd_;
+  std::string buffer_;
+};
 
 StatusOr<size_t> HttpStream::BufferHead(size_t max_head_bytes) {
   while (true) {
@@ -318,37 +374,6 @@ Status HttpStream::BufferBody(size_t total) {
     buffer_.append(chunk, static_cast<size_t>(n));
   }
   return Status::OK();
-}
-
-StatusOr<HttpRequest> HttpStream::ReadRequest(size_t max_head_bytes,
-                                              size_t max_body_bytes) {
-  last_error_http_status_ = 0;
-  if (parser_ == nullptr) {
-    parser_ = std::make_unique<RequestParser>(max_head_bytes, max_body_bytes);
-  }
-  while (parser_->NeedsMore()) {
-    char chunk[16384];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      if (!parser_->HasPartialData()) {
-        return Status::NotFound("peer closed the connection");
-      }
-      return Status::InvalidArgument(
-          parser_->state() == RequestParser::State::kBody
-              ? "connection closed mid-body"
-              : "connection closed mid-head");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(StrFormat("recv failed: %s", strerror(errno)));
-    }
-    parser_->Feed(std::string_view(chunk, static_cast<size_t>(n)));
-  }
-  if (parser_->state() == RequestParser::State::kError) {
-    last_error_http_status_ = parser_->error_http_status();
-    return parser_->error();
-  }
-  return parser_->TakeRequest();
 }
 
 StatusOr<HttpResponse> HttpStream::ReadResponse(size_t max_body_bytes) {
@@ -414,6 +439,8 @@ Status HttpStream::WriteAll(std::string_view bytes) {
   }
   return Status::OK();
 }
+
+}  // namespace
 
 // ----- HttpClient -----
 

@@ -2,26 +2,18 @@
 #define CPD_SERVER_HTTP_SERVER_H_
 
 /// \file http_server.h
-/// Embedded HTTP/1.1 server with two interchangeable I/O backends behind
-/// one routing/admission/deadline layer (`io_mode`):
-///
-///   - kBlocking: one listener thread accepting into a bounded connection
-///     set, worker threads (the existing ThreadPool) running one keep-alive
-///     connection loop each. Connection capacity equals the worker count.
-///   - kEpoll: a single event-loop thread multiplexes up to
-///     `max_connections` non-blocking connections (src/server/event_loop);
-///     fully-parsed requests are submitted to the same ThreadPool as work
-///     items, and workers post responses back to the loop. Capacity is
-///     decoupled from the worker count, which is what lets 256+ mostly-idle
-///     keep-alive connections share a handful of workers.
-///
-/// Both backends frame requests through the same incremental RequestParser
-/// and run the same Dispatch(), so responses are byte-identical between io
-/// modes (tests/io_mode_differential_test.cc pins this).
+/// Embedded HTTP/1.1 server: one routing/admission/deadline layer over an
+/// epoll event loop (src/server/event_loop). A single loop thread
+/// multiplexes up to `max_connections` non-blocking connections and frames
+/// requests through the incremental RequestParser; fully-parsed requests
+/// are submitted to a ThreadPool as work items, and workers post responses
+/// back to the loop. Capacity is decoupled from the worker count, which is
+/// what lets 256+ mostly-idle keep-alive connections share a handful of
+/// workers. Two fresh servers under a frozen clock answer a request trace
+/// with byte-identical responses (tests/server_determinism_test.cc).
 ///
 /// Admission control is two-level and never blocks a client unboundedly:
-///   - connection level: over capacity (worker slots in blocking mode,
-///     `max_connections` in epoll mode) the accept edge replies
+///   - connection level: over `max_connections` the accept edge replies
 ///     429 + Retry-After inline and closes (nothing waits);
 ///   - request level: at most `max_inflight` requests execute at once;
 ///     excess requests on live connections get 429 + Retry-After without
@@ -39,14 +31,11 @@
 /// registers the CPD endpoints on top.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "server/event_loop.h"
@@ -59,28 +48,24 @@ class ThreadPool;
 
 namespace cpd::server {
 
-/// Which I/O backend drives connections. Blocking is the PR-4 thread-per-
-/// connection path (default here for drop-in compatibility; cpd_serve
-/// defaults to epoll); epoll is the readiness-driven event loop.
-enum class IoMode {
-  kBlocking,
-  kEpoll,
-};
-
-/// Parses "blocking" / "epoll" (the --io_mode flag values).
-StatusOr<IoMode> ParseIoMode(const std::string& text);
-const char* IoModeName(IoMode mode);
+/// Compatibility shim with one value: the event loop is the only I/O path
+/// and nothing reads HttpServerOptions::io_mode. It exists only so that
+/// perfbench/src/common.cc, which still assigns it, keeps compiling; drop
+/// that assignment, then delete the enum and the field.
+enum class IoMode { kEpoll };
 
 struct HttpServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;             ///< 0 = ephemeral (tests/bench read port()).
-  IoMode io_mode = IoMode::kBlocking;
-  int threads = 4;          ///< Workers (= connection cap in blocking mode).
-  int max_connections = 1024;    ///< Connection cap in epoll mode.
+  IoMode io_mode = IoMode::kEpoll;  ///< Unread shim (see IoMode).
+  int threads = 4;          ///< Worker threads that run the handlers.
+  int max_connections = 1024;    ///< Open connections (excess -> 429).
   int max_inflight = 64;    ///< Requests executing at once (excess -> 429).
   int deadline_ms = 0;      ///< Per-request budget (0 = none; over -> 504).
   int retry_after_seconds = 1;   ///< Advertised on every 429.
-  int idle_timeout_ms = 30000;   ///< Per-read socket timeout (0 = none).
+  /// The event loop closes a connection with no request in flight and
+  /// nothing to write after this long without traffic (0 = never).
+  int idle_timeout_ms = 30000;
   size_t max_head_bytes = 64 * 1024;
   size_t max_body_bytes = 4 * 1024 * 1024;
   bool log_requests = true;  ///< One CPD_LOG(Info) line per request.
@@ -118,7 +103,7 @@ class HttpServer : private EventLoopHandler {
   void Handle(const std::string& method, const std::string& pattern,
               Handler handler);
 
-  /// Binds, listens, and spawns the listener + worker pool.
+  /// Binds, listens, and spawns the event loop + worker pool.
   Status Start();
 
   /// Port actually bound (after Start; useful with options.port = 0).
@@ -147,19 +132,17 @@ class HttpServer : private EventLoopHandler {
     Handler handler;
   };
 
-  void ListenerLoop();
-  void ConnectionLoop(int fd);
   /// Routes + admission + deadline around one parsed request (mutated only
   /// to attach path_params). Returns the response to write (always exactly
-  /// one response per request). Shared by both io modes.
+  /// one response per request).
   HttpResponse Dispatch(HttpRequest* request);
   const Route* MatchRoute(const std::string& method, const std::string& path,
                           std::map<std::string, std::string>* params) const;
   HttpResponse Render429() const;
   void CountResponse(int status);
 
-  // EventLoopHandler (epoll mode): requests hop from the loop thread onto
-  // the worker pool and their responses hop back via CompleteRequest.
+  // EventLoopHandler: requests hop from the loop thread onto the worker
+  // pool and their responses hop back via CompleteRequest.
   void OnRequest(uint64_t token, HttpRequest request) override;
   HttpResponse OnConnectionShed() override;
   HttpResponse OnFramingError(const Status& error, int http_status) override;
@@ -168,8 +151,8 @@ class HttpServer : private EventLoopHandler {
 
   /// Records one transport stage sample if a recorder is set.
   void RecordStage(const char* stage, double micros);
-  /// The shared access-log line (+ slow-request Warning when the request
-  /// exceeded options_.slow_request_us), identical across io modes.
+  /// The access-log line (+ slow-request Warning when the request
+  /// exceeded options_.slow_request_us).
   void LogRequest(const HttpRequest& request, const HttpResponse& response,
                   double total_us);
 
@@ -180,17 +163,12 @@ class HttpServer : private EventLoopHandler {
 
   int listen_fd_ = -1;
   int port_ = 0;
-  std::thread listener_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<EventLoop> event_loop_;  ///< Null in blocking mode.
+  std::unique_ptr<EventLoop> event_loop_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<int> inflight_{0};
-
-  mutable std::mutex connections_mutex_;
-  std::condition_variable connections_drained_;
-  std::set<int> connections_;  ///< Open connection fds (for Stop()).
 
   // Counters (relaxed atomics; stats() snapshots them).
   std::atomic<uint64_t> connections_accepted_{0};

@@ -1,7 +1,8 @@
 // Loopback end-to-end tests of the embedded HTTP serving layer: endpoint
 // parity with the in-process QueryEngine (byte-identical JSON), malformed
 // input -> 400, admission control -> 429, deadlines -> 504, zero-downtime
-// hot reload, and graceful shutdown draining in-flight requests.
+// hot reload, graceful shutdown draining in-flight requests, and the event
+// loop's idle sweep and pipelined-request ordering.
 
 #include "server/http_server.h"
 
@@ -9,10 +10,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -41,6 +42,46 @@ using server::HttpServer;
 using server::HttpServerOptions;
 
 constexpr const char* kHost = "127.0.0.1";
+
+/// Opens a raw loopback connection (for probes HttpClient cannot send).
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  CPD_CHECK(fd >= 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  CPD_CHECK(::inet_pton(AF_INET, kHost, &addr.sin_addr) == 1);
+  CPD_CHECK(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)) == 0);
+  return fd;
+}
+
+void SendAll(int fd, const std::string& bytes) {
+  CPD_CHECK(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// Reads until the server closes, or until `timeout_ms` passes without
+/// the close (the caller's assertions then see a truncated transcript).
+std::string ReadToEof(int fd, int timeout_ms = 5000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::string response;
+  char chunk[4096];
+  while (true) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      break;
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    response.append(chunk, static_cast<size_t>(n));
+  }
+  return response;
+}
 
 /// Trains one tiny model per seed (cached across tests).
 class HttpServerTest : public ::testing::Test {
@@ -121,10 +162,6 @@ struct ServingFixture {
   static HttpServerOptions MakeOptions(HttpServerOptions options) {
     options.port = 0;
     options.log_requests = false;  // Keep test output readable.
-    // Headroom over the tests' live connections: a closed client's
-    // server-side teardown can lag the next one-shot fetch on a busy
-    // runner, and the lingering connection still holds a worker slot.
-    options.threads = std::max(options.threads, 8);
     return options;
   }
 
@@ -298,40 +335,18 @@ TEST_F(HttpServerTest, MalformedHttpFramingGets400AndClose) {
   ServingFixture fixture(path);
   ASSERT_TRUE(fixture.Start().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(fixture.server.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string garbage = "THIS IS NOT HTTP\r\n\r\n";
-  ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), 0),
-            static_cast<ssize_t>(garbage.size()));
-  std::string response;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
+  const int fd = ConnectRaw(fixture.server.port());
+  SendAll(fd, "THIS IS NOT HTTP\r\n\r\n");
+  std::string response = ReadToEof(fd);
   ::close(fd);
   EXPECT_NE(response.find("400 Bad Request"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
 
   // An HTTP/1.0 request gets its answer and a close (1.0 semantics), so a
   // read-to-EOF client is not parked until the idle timeout.
-  const int fd10 = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd10, 0);
-  ASSERT_EQ(
-      ::connect(fd10, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  const std::string legacy = "GET /healthz HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::send(fd10, legacy.data(), legacy.size(), 0),
-            static_cast<ssize_t>(legacy.size()));
-  response.clear();
-  while ((n = ::recv(fd10, chunk, sizeof(chunk), 0)) > 0) {
-    response.append(chunk, static_cast<size_t>(n));
-  }
+  const int fd10 = ConnectRaw(fixture.server.port());
+  SendAll(fd10, "GET /healthz HTTP/1.0\r\n\r\n");
+  response = ReadToEof(fd10);
   ::close(fd10);
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
@@ -343,7 +358,7 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   // No model needed: admission control lives below the routes.
   HttpServerOptions options;
   options.port = 0;
-  options.threads = 3;       // Room for blocker + prober connections.
+  options.threads = 3;       // A free worker answers the prober's shed.
   options.max_inflight = 1;  // But only one request may execute.
   options.log_requests = false;
   HttpServer server(options);
@@ -383,12 +398,14 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   ASSERT_TRUE(rejected.ok());
   EXPECT_EQ(rejected->status, 429);
   EXPECT_EQ(rejected->headers.at("retry-after"), "1");
+  EXPECT_NE(rejected->body.find("\"ResourceExhausted\""), std::string::npos);
   EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           before)
                 .count(),
             5.0);  // Bounded: the 429 came back without waiting on the slot.
 
-  // The same keep-alive connection works again once the slot frees up.
+  // The request was shed, not the connection: the same keep-alive
+  // connection works again once the slot frees up.
   {
     std::lock_guard<std::mutex> lock(mutex);
     release_handler = true;
@@ -406,7 +423,7 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
 TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   HttpServerOptions options;
   options.port = 0;
-  options.threads = 2;  // Two live connections; the third is shed.
+  options.max_connections = 2;  // Two live connections; the third is shed.
   options.log_requests = false;
   HttpServer server(options);
   server.Handle("GET", "/ping", [](const HttpRequest&) {
@@ -420,7 +437,7 @@ TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   auto second = HttpClient::Connect(kHost, server.port());
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  // Prove both connections are live (their workers are occupied).
+  // Prove both connections are live (they hold both connection slots).
   ASSERT_EQ(first->RoundTrip("GET", "/ping")->status, 200);
   ASSERT_EQ(second->RoundTrip("GET", "/ping")->status, 200);
 
@@ -864,54 +881,127 @@ TEST_F(HttpServerTest, IngestModelFieldSwapsANamedModel) {
 // ----- body cap: rejected by declared length, before any body bytes -----
 
 TEST_F(HttpServerTest, OversizedContentLengthIs413BeforeTheBodyIsSent) {
-  for (const auto io_mode :
-       {server::IoMode::kBlocking, server::IoMode::kEpoll}) {
-    HttpServerOptions options;
-    options.port = 0;
-    options.threads = 2;
-    options.io_mode = io_mode;
-    options.max_body_bytes = 1024;
-    options.log_requests = false;
-    HttpServer server(options);
-    server.Handle("POST", "/admin/ingest", [](const HttpRequest&) {
-      HttpResponse response;
-      response.body = "{}";
-      return response;
-    });
-    ASSERT_TRUE(server.Start().ok());
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.max_body_bytes = 1024;
+  options.log_requests = false;
+  HttpServer server(options);
+  server.Handle("POST", "/admin/ingest", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
 
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    ASSERT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-    ASSERT_EQ(::inet_pton(AF_INET, kHost, &addr.sin_addr), 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-              0);
-    // An oversized ingest batch announces itself via Content-Length. The
-    // head alone (zero body bytes sent) must already draw the 413 — the
-    // parser rejects the declared length instead of buffering toward a cap
-    // it can never reach.
-    const std::string head =
-        "POST /admin/ingest HTTP/1.1\r\n"
-        "Host: test\r\n"
-        "Content-Length: 1048576\r\n"
-        "\r\n";
-    ASSERT_EQ(::send(fd, head.data(), head.size(), 0),
-              static_cast<ssize_t>(head.size()));
-    std::string response;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
-      response.append(chunk, static_cast<size_t>(n));
+  // An oversized ingest batch announces itself via Content-Length. The
+  // head alone (zero body bytes sent) must already draw the 413 — the
+  // parser rejects the declared length instead of buffering toward a cap
+  // it can never reach.
+  const int fd = ConnectRaw(server.port());
+  SendAll(fd,
+          "POST /admin/ingest HTTP/1.1\r\n"
+          "Host: test\r\n"
+          "Content-Length: 1048576\r\n"
+          "\r\n");
+  const std::string response = ReadToEof(fd);
+  ::close(fd);
+  EXPECT_NE(response.find("413 Payload Too Large"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("\"OutOfRange\""), std::string::npos);
+  EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  server.Stop();
+}
+
+// ----- event loop: idle sweep and pipelining -----
+
+TEST_F(HttpServerTest, IdleKeepAliveConnectionIsSweptButInFlightIsNot) {
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.idle_timeout_ms = 100;
+  options.log_requests = false;
+  HttpServer server(options);
+  server.Handle("GET", "/ping", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{}";
+    return response;
+  });
+  server.Handle("GET", "/slow", [](const HttpRequest&) {
+    // Three idle timeouts: the sweep must skip the in-flight connection.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    HttpResponse response;
+    response.body = "{\"slow\":true}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::thread in_flight([&] {
+    auto client = HttpClient::Connect(kHost, server.port());
+    ASSERT_TRUE(client.ok());
+    auto response = client->RoundTrip("GET", "/slow");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+    EXPECT_EQ(response->body, "{\"slow\":true}");
+  });
+
+  // One request, then silence: the keep-alive connection is closed by the
+  // sweep (a clean end-of-stream), not left open until the client leaves.
+  const int fd = ConnectRaw(server.port());
+  SendAll(fd, "GET /ping HTTP/1.1\r\nHost: x\r\n\r\n");
+  const auto start = std::chrono::steady_clock::now();
+  const std::string response = ReadToEof(fd, /*timeout_ms=*/2000);
+  const double waited_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ::close(fd);
+  EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
+  EXPECT_NE(response.find("Connection: keep-alive"), std::string::npos);
+  EXPECT_LT(waited_s, 1.0);  // Swept at ~100 ms, not at the 2 s read cap.
+  in_flight.join();
+  server.Stop();
+}
+
+TEST_F(HttpServerTest, PipelinedRequestsAreAnsweredInOrderOnOneConnection) {
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 4;
+  options.log_requests = false;
+  HttpServer server(options);
+  server.Handle("GET", "/echo/{n}", [](const HttpRequest& request) {
+    // The first request is the slower one, so answering in completion
+    // order instead of request order would swap the bodies.
+    if (request.path_params.at("n") == "1") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    ::close(fd);
-    EXPECT_NE(response.find("413 Payload Too Large"), std::string::npos)
-        << server::IoModeName(io_mode) << ": " << response;
-    EXPECT_NE(response.find("\"OutOfRange\""), std::string::npos);
-    EXPECT_NE(response.find("Connection: close"), std::string::npos);
-    server.Stop();
-  }
+    HttpResponse response;
+    response.body = "{\"n\":" + request.path_params.at("n") + "}";
+    return response;
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // Both requests leave in one send; the second asks to close, so the
+  // connection ends after exactly two responses.
+  const int fd = ConnectRaw(server.port());
+  SendAll(fd,
+          "GET /echo/1 HTTP/1.1\r\nHost: x\r\n\r\n"
+          "GET /echo/2 HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n");
+  const std::string replies = ReadToEof(fd, /*timeout_ms=*/2000);
+  ::close(fd);
+  const size_t first = replies.find("HTTP/1.1 200 OK");
+  ASSERT_NE(first, std::string::npos) << replies;
+  const size_t second = replies.find("HTTP/1.1 200 OK", first + 1);
+  ASSERT_NE(second, std::string::npos) << replies;
+  EXPECT_EQ(replies.find("HTTP/1.1", second + 1), std::string::npos)
+      << replies;
+  const std::string first_reply = replies.substr(first, second - first);
+  const std::string second_reply = replies.substr(second);
+  EXPECT_NE(first_reply.find("Connection: keep-alive"), std::string::npos);
+  EXPECT_NE(first_reply.find("{\"n\":1}"), std::string::npos) << replies;
+  EXPECT_NE(second_reply.find("Connection: close"), std::string::npos);
+  EXPECT_NE(second_reply.find("{\"n\":2}"), std::string::npos) << replies;
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  server.Stop();
 }
 
 // ----- graceful shutdown -----

@@ -30,7 +30,6 @@ using serve::ArtifactLoadMode;
 using server::HttpClient;
 using server::HttpServer;
 using server::HttpServerOptions;
-using server::IoMode;
 
 constexpr const char* kHost = "127.0.0.1";
 
@@ -191,7 +190,6 @@ class MmapDifferentialTest : public ::testing::Test {
     HttpServerOptions options;
     options.port = 0;
     options.threads = 4;
-    options.io_mode = IoMode::kEpoll;
     options.log_requests = false;
     HttpServer http_server(options);
     server::ServiceStats stats;

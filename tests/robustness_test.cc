@@ -203,5 +203,24 @@ TEST_F(CpdTrainFlagsTest, OutOfRangeCommunitiesIsUsageError) {
   EXPECT_TRUE(StderrHas("--communities is out of range")) << stderr_;
 }
 
+// cpd_serve has one I/O path, so the flag that chose between two is gone:
+// naming it is a usage error, not a silently ignored setting.
+TEST(CpdServeFlagsTest, IoModeFlagIsUnknown) {
+  const std::string binary = CurrentExecutableDir() + "/cpd_serve";
+  if (::access(binary.c_str(), X_OK) != 0) {
+    GTEST_SKIP() << "cpd_serve binary not built next to the test binary";
+  }
+  const std::string stderr_path =
+      ::testing::TempDir() + "/serve_flags_stderr.txt";
+  const int rc = std::system((binary + " --model m.cpdb --io_mode epoll" +
+                              " >/dev/null 2>" + stderr_path)
+                                 .c_str());
+  std::ifstream in(stderr_path);
+  const std::string err((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 2);
+  EXPECT_NE(err.find("unknown flag --io_mode"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace cpd

@@ -1,9 +1,9 @@
-// Differential suite over the two I/O backends: the same request trace
-// driven through --io_mode blocking and --io_mode epoll must produce
-// byte-identical responses (bodies, statuses, and raw framing-error
-// replies), with and without request coalescing. Also pins the epoll-mode
-// behavior of the admission/deadline/drain machinery that the blocking
-// suite covers in http_server_test.cc.
+// Determinism suite for the serving stack: under a frozen clock, the same
+// request trace driven through two fresh servers must produce
+// byte-identical responses (statuses, headers and bodies, /metricsz and
+// /statsz included), with and without request coalescing; and every
+// framing-error probe, including the response-splitting and
+// request-smuggling ones, draws one exact pinned reply.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -35,15 +33,12 @@ namespace {
 using server::Coalescer;
 using server::CoalescerOptions;
 using server::HttpClient;
-using server::HttpRequest;
-using server::HttpResponse;
 using server::HttpServer;
 using server::HttpServerOptions;
-using server::IoMode;
 
 constexpr const char* kHost = "127.0.0.1";
 
-class IoModeDifferentialTest : public ::testing::Test {
+class ServerDeterminismTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     data_ = new SynthResult(testing::MakeTinyGraph(211));
@@ -55,7 +50,8 @@ class IoModeDifferentialTest : public ::testing::Test {
     auto model = CpdModel::Train(data_->graph, config);
     CPD_CHECK(model.ok());
     model_ = new CpdModel(std::move(*model));
-    artifact_ = new std::string(::testing::TempDir() + "/io_mode_diff.cpdb");
+    artifact_ =
+        new std::string(::testing::TempDir() + "/server_determinism.cpdb");
     CPD_CHECK(model_
                   ->SaveBinary(*artifact_,
                                &data_->graph.corpus().vocabulary())
@@ -114,7 +110,7 @@ class IoModeDifferentialTest : public ::testing::Test {
         {"GET", "/v1/models/ghost/membership/0", ""},
         {"POST", "/admin/ingest", "{}"},
         {"POST", "/admin/reload", R"({"model":""})"},
-        // Last: the counters above are now identical in both modes, and the
+        // Last: the counters above are now identical across runs, and the
         // obs clock is frozen (every recorded duration is exactly 0), so
         // both scrape views must match byte-for-byte too.
         {"GET", "/metricsz", ""},
@@ -122,10 +118,9 @@ class IoModeDifferentialTest : public ::testing::Test {
     };
   }
 
-  /// Runs the trace through a fresh server in `mode`; returns
-  /// "status\nbody" per exchange, over one keep-alive connection.
-  static std::vector<std::string> RunTrace(IoMode mode,
-                                           const std::vector<Exchange>& trace,
+  /// Runs the trace through a fresh server; returns the status, every
+  /// header and the body per exchange, over one keep-alive connection.
+  static std::vector<std::string> RunTrace(const std::vector<Exchange>& trace,
                                            int coalesce_window_us = 0) {
     server::ModelRegistry registry(serve::ProfileIndexOptions{},
                                    SharedGraph());
@@ -137,7 +132,6 @@ class IoModeDifferentialTest : public ::testing::Test {
     HttpServerOptions options;
     options.port = 0;
     options.threads = 8;
-    options.io_mode = mode;
     options.log_requests = false;
     HttpServer http_server(options);
     server::ServiceStats stats;
@@ -155,8 +149,11 @@ class IoModeDifferentialTest : public ::testing::Test {
       auto response =
           client->RoundTrip(exchange.method, exchange.target, exchange.body);
       CPD_CHECK(response.ok());
-      results.push_back(std::to_string(response->status) + "\n" +
-                        response->body);
+      std::string result = std::to_string(response->status) + "\n";
+      for (const auto& [name, value] : response->headers) {
+        result += name + ": " + value + "\n";
+      }
+      results.push_back(result + response->body);
     }
     http_server.Stop();
     obs::SetClockForTest(nullptr);
@@ -199,33 +196,32 @@ class IoModeDifferentialTest : public ::testing::Test {
   static std::string* artifact_;
 };
 
-SynthResult* IoModeDifferentialTest::data_ = nullptr;
-CpdModel* IoModeDifferentialTest::model_ = nullptr;
-std::string* IoModeDifferentialTest::artifact_ = nullptr;
+SynthResult* ServerDeterminismTest::data_ = nullptr;
+CpdModel* ServerDeterminismTest::model_ = nullptr;
+std::string* ServerDeterminismTest::artifact_ = nullptr;
 
-TEST_F(IoModeDifferentialTest, CanonicalTraceIsByteIdenticalAcrossIoModes) {
+TEST_F(ServerDeterminismTest, CanonicalTraceIsByteIdenticalAcrossFreshStacks) {
   // No latency scrubbing: the frozen obs clock makes every histogram
   // deterministic, so /statsz and /metricsz compare raw.
   const std::vector<Exchange> trace = CanonicalTrace();
-  const std::vector<std::string> blocking =
-      RunTrace(IoMode::kBlocking, trace);
-  const std::vector<std::string> epoll = RunTrace(IoMode::kEpoll, trace);
-  ASSERT_EQ(blocking.size(), epoll.size());
-  for (size_t i = 0; i < blocking.size(); ++i) {
-    EXPECT_EQ(blocking[i], epoll[i])
+  const std::vector<std::string> first = RunTrace(trace);
+  const std::vector<std::string> second = RunTrace(trace);
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i], second[i])
         << trace[i].method << " " << trace[i].target << " " << trace[i].body;
   }
 }
 
-TEST_F(IoModeDifferentialTest, CoalescedResponsesMatchTheDirectPath) {
+TEST_F(ServerDeterminismTest, CoalescedResponsesMatchTheDirectPath) {
   // A sequential client never fills a batch window with company, so every
   // coalesced response is a flush-timeout singleton — and must still be
   // byte-identical to the uncoalesced engine path (leader runs the same
   // QueryBatch slots that Query() runs).
   const std::vector<Exchange> trace = CanonicalTrace();
-  const std::vector<std::string> direct = RunTrace(IoMode::kEpoll, trace);
+  const std::vector<std::string> direct = RunTrace(trace);
   const std::vector<std::string> coalesced =
-      RunTrace(IoMode::kEpoll, trace, /*coalesce_window_us=*/500);
+      RunTrace(trace, /*coalesce_window_us=*/500);
   ASSERT_EQ(direct.size(), coalesced.size());
   // The scrape views (last two exchanges) legitimately differ: they report
   // the coalescer's own counters. Everything the client asked for must not.
@@ -235,13 +231,12 @@ TEST_F(IoModeDifferentialTest, CoalescedResponsesMatchTheDirectPath) {
   }
 }
 
-TEST_F(IoModeDifferentialTest, ConcurrentCoalescedQueriesAreByteIdentical) {
+TEST_F(ServerDeterminismTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   server::ModelRegistry registry(serve::ProfileIndexOptions{}, SharedGraph());
   CPD_CHECK(registry.LoadFrom(*artifact_).ok());
   HttpServerOptions options;
   options.port = 0;
   options.threads = 12;
-  options.io_mode = IoMode::kEpoll;
   options.log_requests = false;
   HttpServer http_server(options);
   server::ServiceStats stats;
@@ -297,201 +292,84 @@ TEST_F(IoModeDifferentialTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   http_server.Stop();
 }
 
-TEST_F(IoModeDifferentialTest, FramingErrorRepliesAreByteIdentical) {
-  const std::vector<std::string> probes = {
-      "THIS IS NOT HTTP\r\n\r\n",
-      "GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: nope\r\n\r\n",
+TEST_F(ServerDeterminismTest, FramingErrorRepliesAreByteIdentical) {
+  // Every probe's whole reply is pinned: status line, headers and
+  // envelope. Framing errors never reach Dispatch, so no X-Request-Id.
+  struct Probe {
+    std::string bytes;
+    std::string status_line;
+    std::string code;
+    std::string message;
+  };
+  const std::vector<Probe> probes = {
+      {"THIS IS NOT HTTP\r\n\r\n", "400 Bad Request", "InvalidArgument",
+       "unsupported HTTP version 'NOT HTTP'"},
+      {"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: nope\r\n\r\n",
+       "400 Bad Request", "InvalidArgument", "malformed Content-Length"},
       // Declared body over the cap: 413 from the head alone.
-      "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999\r\n\r\n",
+      {"POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999\r\n"
+       "\r\n",
+       "413 Payload Too Large", "OutOfRange",
+       "request body exceeds the size cap"},
       // Head over the cap: 431 (the filler header crosses max_head_bytes;
       // small enough that one server read consumes the whole probe, so the
       // close is a clean FIN and never an RST racing the reply).
-      "GET /healthz HTTP/1.1\r\nX-Filler: " + std::string(1500, 'a') +
-          "\r\n\r\n",
+      {"GET /healthz HTTP/1.1\r\nX-Filler: " + std::string(1500, 'a') +
+           "\r\n\r\n",
+       "431 Request Header Fields Too Large", "OutOfRange",
+       "message head exceeds the size cap"},
+      // Response splitting: a bare LF inside X-Request-Id would be echoed
+      // as a second, attacker-chosen response header.
+      {"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+       "X-Request-Id: abc\nSet-Cookie: pwned=1\r\nConnection: close\r\n\r\n",
+       "400 Bad Request", "InvalidArgument",
+       "header line contains CR, LF or NUL"},
+      // Log splitting: a bare LF in the target would start a forged line
+      // in the access log.
+      {"GET /x\nFORGED HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+       "400 Bad Request", "InvalidArgument",
+       "request line contains CR, LF or NUL"},
+      // Smuggling: an empty Content-Length would frame no body, so the
+      // body would be parsed as a second request.
+      {"POST /healthz HTTP/1.1\r\nHost: x\r\nContent-Length:\r\n\r\n"
+       "GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+       "400 Bad Request", "InvalidArgument", "malformed Content-Length"},
+      // Smuggling: with the last Content-Length winning, "cde" would be
+      // parsed as the head of a second request.
+      {"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+       "Content-Length: 2\r\nConnection: close\r\n\r\nabcde",
+       "400 Bad Request", "InvalidArgument", "duplicate Content-Length"},
+      // Smuggling: Transfer-Encoding beside Content-Length.
+      {"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n"
+       "Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n0\r\n\r\n",
+       "400 Bad Request", "InvalidArgument",
+       "chunked transfer encoding not supported"},
   };
-  std::vector<std::vector<std::string>> replies;
-  for (const auto io_mode : {IoMode::kBlocking, IoMode::kEpoll}) {
-    HttpServerOptions options;
-    options.port = 0;
-    options.threads = 4;
-    options.io_mode = io_mode;
-    options.max_head_bytes = 1024;
-    options.log_requests = false;
-    HttpServer http_server(options);
-    server::ModelRegistry registry(serve::ProfileIndexOptions{}, nullptr);
-    CPD_CHECK(registry.LoadFrom(*artifact_).ok());
-    server::ServiceStats stats;
-    server::RegisterCpdRoutes(&http_server, &registry, &stats);
-    ASSERT_TRUE(http_server.Start().ok());
-    std::vector<std::string> mode_replies;
-    for (const std::string& probe : probes) {
-      mode_replies.push_back(RawRoundTrip(http_server.port(), probe));
-    }
-    replies.push_back(std::move(mode_replies));
-    http_server.Stop();
-  }
-  ASSERT_EQ(replies.size(), 2u);
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 4;
+  options.max_head_bytes = 1024;
+  options.log_requests = false;
+  HttpServer http_server(options);
+  server::ModelRegistry registry(serve::ProfileIndexOptions{}, nullptr);
+  CPD_CHECK(registry.LoadFrom(*artifact_).ok());
+  server::ServiceStats stats;
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
+  ASSERT_TRUE(http_server.Start().ok());
   for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_FALSE(replies[0][i].empty()) << "probe " << i;
-    EXPECT_EQ(replies[0][i], replies[1][i]) << "probe " << i;
+    const Probe& probe = probes[i];
+    const std::string body = R"({"error":{"code":")" + probe.code +
+                             R"(","message":")" + probe.message + R"("}})";
+    const std::string expected =
+        "HTTP/1.1 " + probe.status_line +
+        "\r\nContent-Type: application/json\r\nContent-Length: " +
+        std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+        body;
+    const std::string reply = RawRoundTrip(http_server.port(), probe.bytes);
+    EXPECT_EQ(reply, expected) << "probe " << i;
+    EXPECT_EQ(reply.find("Set-Cookie"), std::string::npos) << "probe " << i;
   }
-}
-
-// ----- epoll-mode admission, deadlines, drain -----
-
-TEST_F(IoModeDifferentialTest, EpollOverloadGets429WithRetryAfter) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.threads = 4;
-  options.io_mode = IoMode::kEpoll;
-  options.max_inflight = 1;
-  options.log_requests = false;
-  HttpServer http_server(options);
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool handler_entered = false;
-  bool release_handler = false;
-  http_server.Handle("GET", "/block", [&](const HttpRequest&) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      handler_entered = true;
-    }
-    cv.notify_all();
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return release_handler; });
-    HttpResponse response;
-    response.body = "{\"blocked\":false}";
-    return response;
-  });
-  ASSERT_TRUE(http_server.Start().ok());
-
-  std::thread blocker([&] {
-    auto client = HttpClient::Connect(kHost, http_server.port());
-    ASSERT_TRUE(client.ok());
-    auto response = client->RoundTrip("GET", "/block");
-    ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->status, 200);
-  });
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return handler_entered; });
-  }
-
-  auto prober = HttpClient::Connect(kHost, http_server.port());
-  ASSERT_TRUE(prober.ok());
-  auto rejected = prober->RoundTrip("GET", "/block");
-  ASSERT_TRUE(rejected.ok());
-  EXPECT_EQ(rejected->status, 429);
-  EXPECT_EQ(rejected->headers.at("retry-after"), "1");
-  EXPECT_NE(rejected->body.find("\"ResourceExhausted\""), std::string::npos);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release_handler = true;
-  }
-  cv.notify_all();
-  blocker.join();
-  // The shed connection stays usable (epoll sheds the request, not the
-  // connection) and serves normally once the slot frees up.
-  auto after = prober->RoundTrip("GET", "/block");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->status, 200);
-  EXPECT_GE(http_server.stats().rejected_429, 1u);
   http_server.Stop();
-}
-
-TEST_F(IoModeDifferentialTest, EpollConnectionFloodShedsAtTheAcceptEdge) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.threads = 4;
-  options.io_mode = IoMode::kEpoll;
-  options.max_connections = 2;
-  options.log_requests = false;
-  HttpServer http_server(options);
-  http_server.Handle("GET", "/ping", [](const HttpRequest&) {
-    HttpResponse response;
-    response.body = "{}";
-    return response;
-  });
-  ASSERT_TRUE(http_server.Start().ok());
-
-  auto first = HttpClient::Connect(kHost, http_server.port());
-  auto second = HttpClient::Connect(kHost, http_server.port());
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  ASSERT_EQ(first->RoundTrip("GET", "/ping")->status, 200);
-  ASSERT_EQ(second->RoundTrip("GET", "/ping")->status, 200);
-
-  auto third = HttpClient::Connect(kHost, http_server.port());
-  ASSERT_TRUE(third.ok());
-  auto shed = third->RoundTrip("GET", "/ping");
-  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
-  EXPECT_EQ(shed->status, 429);
-  EXPECT_FALSE(third->connected());  // 429-and-close at the accept edge.
-  EXPECT_GE(http_server.stats().connections_rejected, 1u);
-  http_server.Stop();
-}
-
-TEST_F(IoModeDifferentialTest, EpollSlowHandlerGets504) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.threads = 4;
-  options.io_mode = IoMode::kEpoll;
-  options.deadline_ms = 40;
-  options.log_requests = false;
-  HttpServer http_server(options);
-  http_server.Handle("GET", "/slow", [](const HttpRequest&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    HttpResponse response;
-    response.body = "{\"late\":true}";
-    return response;
-  });
-  ASSERT_TRUE(http_server.Start().ok());
-  auto client = HttpClient::Connect(kHost, http_server.port());
-  ASSERT_TRUE(client.ok());
-  auto slow = client->RoundTrip("GET", "/slow");
-  ASSERT_TRUE(slow.ok());
-  EXPECT_EQ(slow->status, 504);
-  EXPECT_NE(slow->body.find("DeadlineExceeded"), std::string::npos);
-  EXPECT_EQ(http_server.stats().deadline_504, 1u);
-  http_server.Stop();
-}
-
-TEST_F(IoModeDifferentialTest, EpollStopDrainsInFlightRequests) {
-  HttpServerOptions options;
-  options.port = 0;
-  options.threads = 4;
-  options.io_mode = IoMode::kEpoll;
-  options.log_requests = false;
-  HttpServer http_server(options);
-  std::atomic<bool> handler_entered{false};
-  http_server.Handle("GET", "/slow", [&](const HttpRequest&) {
-    handler_entered.store(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(150));
-    HttpResponse response;
-    response.body = "{\"drained\":true}";
-    return response;
-  });
-  ASSERT_TRUE(http_server.Start().ok());
-  const int port = http_server.port();
-
-  std::thread in_flight([&] {
-    auto client = HttpClient::Connect(kHost, port);
-    ASSERT_TRUE(client.ok());
-    auto response = client->RoundTrip("GET", "/slow");
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    // The in-flight request finishes with its real response; the server
-    // closes the (draining) connection after writing it.
-    EXPECT_EQ(response->status, 200);
-    EXPECT_EQ(response->body, "{\"drained\":true}");
-  });
-  while (!handler_entered.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  http_server.Stop();  // Must block until the in-flight response is written.
-  in_flight.join();
-  EXPECT_FALSE(http_server.running());
-  EXPECT_FALSE(HttpClient::Connect(kHost, port).ok());
 }
 
 }  // namespace

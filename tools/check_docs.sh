@@ -23,6 +23,10 @@
 #      the verify skill notes must have its source tests/<name>.cc (CMake
 #      registers one ctest per tests/*_test.cc), so a sanitizer job cannot
 #      quietly shrink: an unknown name in the regex matches nothing.
+#   8. every --flag a tools/cpd_*.cc names in its usage text or comments
+#      must be in that file's own kKnownFlags, so a deleted flag cannot
+#      linger in a tool's usage line (gate 4 checks the docs against the
+#      union of all tools; this checks each tool against itself).
 # Exits non-zero listing every violation.
 
 set -u
@@ -165,9 +169,24 @@ for name in $suite_names; do
   fi
 done
 
+# ----- 8. flags a tool names are flags that tool accepts -----
+for tool in tools/cpd_*.cc; do
+  tool_flags=$(sed -n '/kKnownFlags = {/,/};/p' "$tool" |
+               grep -oE '"[a-z0-9_]+"' | tr -d '"' | sort -u)
+  named_flags=$(grep -ohE '(^|[^A-Za-z0-9_-])--[a-z][a-z0-9_]*' "$tool" |
+                sed -E 's/^.*--//' | sort -u)
+  for flag in $named_flags; do
+    if ! printf '%s\n' $tool_flags | grep -qxF "$flag"; then
+      echo "UNKNOWN TOOL FLAG: --$flag (named in $tool, absent from its" \
+           "kKnownFlags)"
+      failures=1
+    fi
+  done
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
 echo "docs check OK (links resolve, every route, metric, flag, bench" \
-     "binary, repo path and ctest -R suite checked)"
+     "binary, repo path, ctest -R suite and tool flag checked)"

@@ -6,7 +6,7 @@
 //   cpd_serve --model model.cpdb [--vocab vocab.tsv] [--top_k 5]
 //             [--load_mode mmap|heap]
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
-//             [--io_mode epoll|blocking] [--max_connections 1024]
+//             [--max_connections 1024]
 //             [--coalesce_window_us 0] [--coalesce_max 16]
 //             [--max_inflight 64] [--deadline_ms 0]
 //             [--log_level info] [--metrics on|off] [--slow_request_ms 500]
@@ -31,10 +31,10 @@
 //                                <--ingest_out>.gN.cpdb, default <--model>,
 //                                written by an atomic rename)
 //
-// I/O: --io_mode epoll (default) multiplexes up to --max_connections on an
-// event loop; blocking is the thread-per-connection path (--threads is then
-// also the connection cap). --coalesce_window_us > 0 micro-batches
-// concurrent single queries through the batched scoring path.
+// I/O: one event loop multiplexes up to --max_connections keep-alive
+// connections and --threads workers run the handlers. A positive
+// --coalesce_window_us micro-batches concurrent single queries through the
+// batched scoring path.
 //
 // Overload returns 429 + Retry-After; requests over --deadline_ms return
 // 504; SIGINT drains in-flight requests before exiting.
@@ -68,8 +68,7 @@ void Usage(const char* argv0) {
                "usage: %s --model model.cpdb [--vocab vocab.tsv] [--top_k 5]\n"
                "          [--load_mode mmap|heap]\n"
                "          [--port 8080] [--host 127.0.0.1] [--threads 4]\n"
-               "          [--io_mode epoll|blocking] [--max_connections "
-               "1024]\n"
+               "          [--max_connections 1024]\n"
                "          [--coalesce_window_us 0] [--coalesce_max 16]\n"
                "          [--max_inflight 64] [--deadline_ms 0]\n"
                "          [--log_level debug|info|warning|error|off]\n"
@@ -85,7 +84,7 @@ const std::set<std::string> kKnownFlags = {
     "model", "vocab",   "top_k",        "port",        "host",
     "threads", "users", "docs",         "friends",     "diffusion",
     "max_inflight",     "deadline_ms",  "warm_iters",  "ingest_threads",
-    "ingest_out",       "io_mode",      "max_connections",
+    "ingest_out",       "max_connections",
     "coalesce_window_us", "coalesce_max",
     "log_level", "metrics", "slow_request_ms",
     "load_mode"};
@@ -240,18 +239,6 @@ int main(int argc, char** argv) {
   options.host = args.count("host") ? args["host"] : options.host;
   options.port = int_flag("port", 8080);
   options.threads = int_flag("threads", options.threads);
-  // The serving binary defaults to the event loop; the library default
-  // stays blocking so embedded/test users opt in explicitly.
-  options.io_mode = cpd::server::IoMode::kEpoll;
-  if (args.count("io_mode")) {
-    auto mode = cpd::server::ParseIoMode(args["io_mode"]);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "%s\n", mode.status().message().c_str());
-      Usage(argv[0]);
-      return 2;
-    }
-    options.io_mode = *mode;
-  }
   options.max_connections =
       int_flag("max_connections", options.max_connections);
   options.max_inflight = int_flag("max_inflight", options.max_inflight);
