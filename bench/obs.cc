@@ -11,17 +11,23 @@
 //      --metrics off` is the same switch). One server serves both modes
 //      and its passes alternate (off-on, on-off, ...), so drift in a
 //      shared machine's speed and the threads' placement land on both
-//      modes alike. Reports best-of-N qps per mode and the relative
-//      overhead; the budget is <= 2%.
+//      modes alike. Reports, per mode, best-of-N qps and the median
+//      process CPU per request (getrusage deltas around each pass), and
+//      the overhead two ways: from the best passes, and as the median of
+//      the per-pair off/on qps ratios. The budget is <= 2%.
 //
 // A single connection is the worst case for relative overhead: each
 // request crosses every instrumented stage and there is no concurrency to
-// hide the atomics behind. Best-of-N damps loopback scheduling noise
-// (overhead can legitimately print negative on a noisy box — treat small
-// magnitudes as "within noise", not as metrics being free).
+// hide the atomics behind. Best-of-N picks each mode's luckiest pass, so
+// its overhead swings with loopback scheduling noise (it can print
+// negative); the median pair ratio compares passes run back to back and
+// the CPU per request does not count time spent waiting, so those two are
+// the steadier reads.
 //
 // Laptop-friendly scale; honors CPD_BENCH_JSON_DIR and records
 // hardware_concurrency.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -97,17 +103,45 @@ std::vector<std::string> BuildWireWorkload(const SocialGraph& graph,
   return bodies;
 }
 
-/// One closed-loop pass on a single keep-alive connection; returns qps.
-double RunPass(int port, const std::vector<std::string>& workload) {
+/// User + system CPU of the whole process (client and server threads).
+double ProcessCpuMicros() {
+  rusage usage{};
+  CPD_CHECK_EQ(::getrusage(RUSAGE_SELF, &usage), 0);
+  const auto micros = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e6 +
+           static_cast<double>(tv.tv_usec);
+  };
+  return micros(usage.ru_utime) + micros(usage.ru_stime);
+}
+
+struct PassResult {
+  double qps = 0.0;
+  double cpu_us_per_request = 0.0;
+};
+
+/// One closed-loop pass on a single keep-alive connection.
+PassResult RunPass(int port, const std::vector<std::string>& workload) {
   auto client = server::HttpClient::Connect("127.0.0.1", port);
   CPD_CHECK(client.ok());
+  const double cpu_start_us = ProcessCpuMicros();
   WallTimer wall;
   for (size_t i = 0; i < workload.size(); ++i) {
     auto response = client->RoundTrip("POST", "/v1/query", workload[i]);
     CPD_CHECK(response.ok());
     CPD_CHECK_EQ(response->status, 200);
   }
-  return static_cast<double>(workload.size()) / wall.ElapsedSeconds();
+  const double requests = static_cast<double>(workload.size());
+  PassResult result;
+  result.qps = requests / wall.ElapsedSeconds();
+  result.cpu_us_per_request = (ProcessCpuMicros() - cpu_start_us) / requests;
+  return result;
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2]
+                    : (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
 
 void Run() {
@@ -165,26 +199,43 @@ void Run() {
   options.log_requests = false;
   server::ServiceStats stats;  // Outlives the server's handlers.
   server::HttpServer http_server(options);
-  server::RegisterCpdRoutes(&http_server, &registry, &stats,
-                            /*pipeline=*/nullptr, /*coalescer=*/nullptr);
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
   CPD_CHECK(http_server.Start().ok());
   RunPass(http_server.port(), workload);  // Warm-up.
   double qps_off = 0.0;
   double qps_on = 0.0;
-  for (int pass = 0; pass < 2 * kMeasuredPasses; ++pass) {
-    // Alternate which mode leads each pair: off, on, on, off, off, on, ...
-    const bool off = (pass % 2 == 0) == (pass / 2 % 2 == 0);
-    stats.set_metrics_enabled(!off);
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    double& best = off ? qps_off : qps_on;
-    best = std::max(best, RunPass(http_server.port(), workload));
+  std::vector<double> cpu_off;
+  std::vector<double> cpu_on;
+  std::vector<double> pair_overhead_pct;
+  for (int pair = 0; pair < kMeasuredPasses; ++pair) {
+    // Alternate which mode leads each pair: off-on, on-off, off-on, ...
+    PassResult off;
+    PassResult on;
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool is_off = (leg == 0) == (pair % 2 == 0);
+      stats.set_metrics_enabled(!is_off);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      (is_off ? off : on) = RunPass(http_server.port(), workload);
+    }
+    qps_off = std::max(qps_off, off.qps);
+    qps_on = std::max(qps_on, on.qps);
+    cpu_off.push_back(off.cpu_us_per_request);
+    cpu_on.push_back(on.cpu_us_per_request);
+    pair_overhead_pct.push_back((off.qps - on.qps) / off.qps * 100.0);
   }
   http_server.Stop();
   const double overhead_pct = (qps_off - qps_on) / qps_off * 100.0;
+  const double overhead_pct_median_pair = Median(pair_overhead_pct);
+  const double cpu_us_off = Median(cpu_off);
+  const double cpu_us_on = Median(cpu_on);
   std::printf(
       "serving (epoll, 1 connection, best of %d): metrics off %7.0f "
       "req/sec, on %7.0f req/sec -> overhead %.2f%%\n",
       kMeasuredPasses, qps_off, qps_on, overhead_pct);
+  std::printf(
+      "median pair overhead %.2f%%; cpu per request (median) off %.2f us, "
+      "on %.2f us\n",
+      overhead_pct_median_pair, cpu_us_off, cpu_us_on);
   std::filesystem::remove(artifact_path);
 
   std::string json = "{\n  \"bench\": \"obs\",\n";
@@ -201,7 +252,13 @@ void Run() {
   json += StrFormat("  \"serving_passes\": %d,\n", kMeasuredPasses);
   json += StrFormat("  \"serving_qps_metrics_off\": %.1f,\n", qps_off);
   json += StrFormat("  \"serving_qps_metrics_on\": %.1f,\n", qps_on);
-  json += StrFormat("  \"serving_overhead_pct\": %.2f\n", overhead_pct);
+  json += StrFormat("  \"serving_overhead_pct\": %.2f,\n", overhead_pct);
+  json += StrFormat("  \"overhead_pct_median_pair\": %.2f,\n",
+                    overhead_pct_median_pair);
+  json += StrFormat("  \"cpu_us_per_request_metrics_off\": %.2f,\n",
+                    cpu_us_off);
+  json += StrFormat("  \"cpu_us_per_request_metrics_on\": %.2f\n",
+                    cpu_us_on);
   json += "}\n";
 
   const char* dir = std::getenv("CPD_BENCH_JSON_DIR");

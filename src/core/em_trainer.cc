@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "sampling/distributions.h"
 #include "util/logging.h"
 #include "util/math_util.h"
@@ -267,10 +266,6 @@ Status EmTrainer::EStep() {
 
   executor_->ResetTimings();
   const int64_t e_step_index = trace_e_step_++;
-  obs::DefaultRegistry()
-      ->GetCounter("cpd_train_e_steps_total",
-                   "E-steps executed across the training run.")
-      ->Increment();
   // The M-step-owned parameters (eta, weights, popularity) cannot change
   // inside an E-step: capture them once and let executor slots skip the
   // re-restore via the snapshot's parameter version.
@@ -282,10 +277,6 @@ Status EmTrainer::EStep() {
   }
   for (int sweep = 0; sweep < config_.gibbs_sweeps_per_em; ++sweep) {
     const int64_t sweep_index = trace_sweep_++;
-    obs::DefaultRegistry()
-        ->GetCounter("cpd_train_sweeps_total",
-                     "Gibbs sweeps executed across the training run.")
-        ->Increment();
     // Plan -> snapshot -> shard-local sample -> delta-merge -> swap: the
     // master state is frozen while shards sample against the snapshot, then
     // advanced only by the merged deltas. Single-shard runs pay the same

@@ -301,9 +301,4 @@ std::string MetricsRegistry::ExpositionText() const {
   return out;
 }
 
-MetricsRegistry* DefaultRegistry() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return registry;
-}
-
 }  // namespace cpd::obs

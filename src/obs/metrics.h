@@ -24,8 +24,8 @@
 ///     (tests/server_determinism_test.cc pins this across fresh stacks).
 ///   - A registry is an instantiable object, not a process singleton:
 ///     ServiceStats owns one per server stack, so tests can build two
-///     stacks in one process and compare scrapes. DefaultRegistry() serves
-///     code without a natural owner (training counters in cpd_train).
+///     stacks in one process and compare scrapes. There is no process-
+///     global registry: every registry has an owner that scrapes it.
 
 #include <atomic>
 #include <cstdint>
@@ -177,10 +177,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
 };
-
-/// Process-global registry for instrumentation without a natural owner
-/// (training-side counters); server stacks use ServiceStats' own registry.
-MetricsRegistry* DefaultRegistry();
 
 }  // namespace cpd::obs
 

@@ -257,7 +257,6 @@ void HttpServer::LogRequest(const HttpRequest& request,
     };
     stage("queue_wait", request.timing.queue_us);
     stage("parse", request.timing.parse_us);
-    stage("batch_wait", request.timing.batch_wait_us);
     stage("scoring", request.timing.scoring_us);
     stage("serialize", request.timing.serialize_us);
     CPD_LOG(Warning) << "slow request [" << request.trace_id << "] "

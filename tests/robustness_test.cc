@@ -203,23 +203,49 @@ TEST_F(CpdTrainFlagsTest, OutOfRangeCommunitiesIsUsageError) {
   EXPECT_TRUE(StderrHas("--communities is out of range")) << stderr_;
 }
 
-// cpd_serve has one I/O path, so the flag that chose between two is gone:
-// naming it is a usage error, not a silently ignored setting.
-TEST(CpdServeFlagsTest, IoModeFlagIsUnknown) {
+// Runs cpd_serve with `flags` (after a --model that never has to load) and
+// returns its exit code; `err` receives its stderr.
+int RunServe(const std::string& flags, std::string* err) {
   const std::string binary = CurrentExecutableDir() + "/cpd_serve";
-  if (::access(binary.c_str(), X_OK) != 0) {
-    GTEST_SKIP() << "cpd_serve binary not built next to the test binary";
-  }
   const std::string stderr_path =
       ::testing::TempDir() + "/serve_flags_stderr.txt";
-  const int rc = std::system((binary + " --model m.cpdb --io_mode epoll" +
+  const int rc = std::system((binary + " --model m.cpdb " + flags +
                               " >/dev/null 2>" + stderr_path)
                                  .c_str());
   std::ifstream in(stderr_path);
-  const std::string err((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 2);
+  err->assign(std::istreambuf_iterator<char>(in),
+              std::istreambuf_iterator<char>());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+bool ServeBinaryBuilt() {
+  return ::access((CurrentExecutableDir() + "/cpd_serve").c_str(), X_OK) == 0;
+}
+
+// cpd_serve has one I/O path, so the flag that chose between two is gone:
+// naming it is a usage error, not a silently ignored setting.
+TEST(CpdServeFlagsTest, IoModeFlagIsUnknown) {
+  if (!ServeBinaryBuilt()) {
+    GTEST_SKIP() << "cpd_serve binary not built next to the test binary";
+  }
+  std::string err;
+  EXPECT_EQ(RunServe("--io_mode epoll", &err), 2);
   EXPECT_NE(err.find("unknown flag --io_mode"), std::string::npos) << err;
+}
+
+// Single queries go straight to the engine; the micro-batching knobs are
+// gone with the batcher they tuned.
+TEST(CpdServeFlagsTest, CoalesceFlagsAreUnknown) {
+  if (!ServeBinaryBuilt()) {
+    GTEST_SKIP() << "cpd_serve binary not built next to the test binary";
+  }
+  std::string err;
+  EXPECT_EQ(RunServe("--coalesce_window_us 500", &err), 2);
+  EXPECT_NE(err.find("unknown flag --coalesce_window_us"), std::string::npos)
+      << err;
+  EXPECT_EQ(RunServe("--coalesce_max 4", &err), 2);
+  EXPECT_NE(err.find("unknown flag --coalesce_max"), std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Determinism suite for the serving stack: under a frozen clock, the same
 // request trace driven through two fresh servers must produce
 // byte-identical responses (statuses, headers and bodies, /metricsz and
-// /statsz included), with and without request coalescing; and every
-// framing-error probe, including the response-splitting and
+// /statsz included); concurrent clients get the in-process engine's bytes;
+// and every framing-error probe, including the response-splitting and
 // request-smuggling ones, draws one exact pinned reply.
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 
 #include "core/cpd_model.h"
 #include "obs/clock.h"
-#include "server/coalescer.h"
 #include "server/http_server.h"
 #include "server/json_api.h"
 #include "server/model_registry.h"
@@ -30,8 +29,6 @@
 namespace cpd {
 namespace {
 
-using server::Coalescer;
-using server::CoalescerOptions;
 using server::HttpClient;
 using server::HttpServer;
 using server::HttpServerOptions;
@@ -120,8 +117,7 @@ class ServerDeterminismTest : public ::testing::Test {
 
   /// Runs the trace through a fresh server; returns the status, every
   /// header and the body per exchange, over one keep-alive connection.
-  static std::vector<std::string> RunTrace(const std::vector<Exchange>& trace,
-                                           int coalesce_window_us = 0) {
+  static std::vector<std::string> RunTrace(const std::vector<Exchange>& trace) {
     server::ModelRegistry registry(serve::ProfileIndexOptions{},
                                    SharedGraph());
     registry.SetClock([] { return int64_t{1754500000000}; });
@@ -135,11 +131,7 @@ class ServerDeterminismTest : public ::testing::Test {
     options.log_requests = false;
     HttpServer http_server(options);
     server::ServiceStats stats;
-    CoalescerOptions coalescer_options;
-    coalescer_options.window_us = coalesce_window_us;
-    Coalescer coalescer(coalescer_options);
-    server::RegisterCpdRoutes(&http_server, &registry, &stats, nullptr,
-                              &coalescer);
+    server::RegisterCpdRoutes(&http_server, &registry, &stats);
     CPD_CHECK(http_server.Start().ok());
 
     std::vector<std::string> results;
@@ -213,25 +205,7 @@ TEST_F(ServerDeterminismTest, CanonicalTraceIsByteIdenticalAcrossFreshStacks) {
   }
 }
 
-TEST_F(ServerDeterminismTest, CoalescedResponsesMatchTheDirectPath) {
-  // A sequential client never fills a batch window with company, so every
-  // coalesced response is a flush-timeout singleton — and must still be
-  // byte-identical to the uncoalesced engine path (leader runs the same
-  // QueryBatch slots that Query() runs).
-  const std::vector<Exchange> trace = CanonicalTrace();
-  const std::vector<std::string> direct = RunTrace(trace);
-  const std::vector<std::string> coalesced =
-      RunTrace(trace, /*coalesce_window_us=*/500);
-  ASSERT_EQ(direct.size(), coalesced.size());
-  // The scrape views (last two exchanges) legitimately differ: they report
-  // the coalescer's own counters. Everything the client asked for must not.
-  for (size_t i = 0; i + 2 < direct.size(); ++i) {
-    EXPECT_EQ(direct[i], coalesced[i])
-        << trace[i].method << " " << trace[i].target;
-  }
-}
-
-TEST_F(ServerDeterminismTest, ConcurrentCoalescedQueriesAreByteIdentical) {
+TEST_F(ServerDeterminismTest, ConcurrentQueriesAreByteIdentical) {
   server::ModelRegistry registry(serve::ProfileIndexOptions{}, SharedGraph());
   CPD_CHECK(registry.LoadFrom(*artifact_).ok());
   HttpServerOptions options;
@@ -240,16 +214,11 @@ TEST_F(ServerDeterminismTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   options.log_requests = false;
   HttpServer http_server(options);
   server::ServiceStats stats;
-  CoalescerOptions coalescer_options;
-  coalescer_options.window_us = 2000;  // Wide window: force real batches.
-  coalescer_options.max_batch = 8;
-  Coalescer coalescer(coalescer_options);
-  server::RegisterCpdRoutes(&http_server, &registry, &stats, nullptr,
-                            &coalescer);
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
   ASSERT_TRUE(http_server.Start().ok());
   const int port = http_server.port();
 
-  // Expected bytes per user, from the uncoalesced in-process engine.
+  // Expected bytes per user, from the in-process engine.
   const auto snapshot = registry.Snapshot();
   std::vector<std::string> expected;
   for (int user = 0; user < 8; ++user) {
@@ -285,10 +254,7 @@ TEST_F(ServerDeterminismTest, ConcurrentCoalescedQueriesAreByteIdentical) {
   }
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(failures.load(), 0);
-  const server::CoalescerStats batching = coalescer.stats();
-  EXPECT_EQ(batching.requests, 320u);
-  EXPECT_GT(batching.batches, 0u);
-  EXPECT_GT(batching.coalesced, 0u);  // 8 writers in a 2ms window do meet.
+  EXPECT_EQ(stats.queries(), 320u);
   http_server.Stop();
 }
 

@@ -27,6 +27,10 @@
 #      must be in that file's own kKnownFlags, so a deleted flag cannot
 #      linger in a tool's usage line (gate 4 checks the docs against the
 #      union of all tools; this checks each tool against itself).
+#   9. every `cpd_...` family in the first column of a catalog table in
+#      docs/OBSERVABILITY.md must appear as a "cpd_..." string literal in
+#      src/**/*.cc (the reverse of gate 3), so the catalog cannot keep
+#      documenting a family the code no longer registers or renders.
 # Exits non-zero listing every violation.
 
 set -u
@@ -184,9 +188,27 @@ for tool in tools/cpd_*.cc; do
   done
 done
 
+# ----- 9. cataloged metric families exist in src -----
+if [ -f "$obs_doc" ]; then
+  cataloged=$(grep -oE '^\| *`cpd_[a-z0-9_]+` *\|' "$obs_doc" |
+              grep -oE 'cpd_[a-z0-9_]+' | sort -u)
+  if [ -z "$cataloged" ]; then
+    echo "ERROR: no catalog families extracted from $obs_doc" \
+         "(did the table layout change?)"
+    failures=1
+  fi
+  for metric in $cataloged; do
+    if ! grep -rqF --include='*.cc' "\"$metric\"" src; then
+      echo "STALE METRIC: $metric (cataloged in $obs_doc, but no" \
+           "\"$metric\" literal in src/**/*.cc)"
+      failures=1
+    fi
+  done
+fi
+
 if [ "$failures" -ne 0 ]; then
   echo "docs check FAILED"
   exit 1
 fi
-echo "docs check OK (links resolve, every route, metric, flag, bench" \
-     "binary, repo path, ctest -R suite and tool flag checked)"
+echo "docs check OK (links resolve, every route, metric both ways, flag," \
+     "bench binary, repo path, ctest -R suite and tool flag checked)"

@@ -7,7 +7,6 @@
 //             [--load_mode mmap|heap]
 //             [--port 8080] [--host 127.0.0.1] [--threads 4]
 //             [--max_connections 1024]
-//             [--coalesce_window_us 0] [--coalesce_max 16]
 //             [--max_inflight 64] [--deadline_ms 0]
 //             [--log_level info] [--metrics on|off] [--slow_request_ms 500]
 //             [--users N --docs docs.tsv --friends friends.tsv
@@ -32,9 +31,7 @@
 //                                written by an atomic rename)
 //
 // I/O: one event loop multiplexes up to --max_connections keep-alive
-// connections and --threads workers run the handlers. A positive
-// --coalesce_window_us micro-batches concurrent single queries through the
-// batched scoring path.
+// connections and --threads workers run the handlers.
 //
 // Overload returns 429 + Retry-After; requests over --deadline_ms return
 // 504; SIGINT drains in-flight requests before exiting.
@@ -69,7 +66,6 @@ void Usage(const char* argv0) {
                "          [--load_mode mmap|heap]\n"
                "          [--port 8080] [--host 127.0.0.1] [--threads 4]\n"
                "          [--max_connections 1024]\n"
-               "          [--coalesce_window_us 0] [--coalesce_max 16]\n"
                "          [--max_inflight 64] [--deadline_ms 0]\n"
                "          [--log_level debug|info|warning|error|off]\n"
                "          [--metrics on|off] [--slow_request_ms 500]\n"
@@ -85,7 +81,6 @@ const std::set<std::string> kKnownFlags = {
     "threads", "users", "docs",         "friends",     "diffusion",
     "max_inflight",     "deadline_ms",  "warm_iters",  "ingest_threads",
     "ingest_out",       "max_connections",
-    "coalesce_window_us", "coalesce_max",
     "log_level", "metrics", "slow_request_ms",
     "load_mode"};
 
@@ -248,20 +243,10 @@ int main(int argc, char** argv) {
   options.slow_request_us =
       cpd::GetInt64FlagOrExit(args, "slow_request_ms", 500, usage) * 1000;
 
-  cpd::server::CoalescerOptions coalescer_options;
-  coalescer_options.window_us = int_flag("coalesce_window_us", 0);
-  coalescer_options.max_batch = int_flag("coalesce_max", 16);
-  cpd::server::Coalescer coalescer(coalescer_options);
-  if (coalescer.enabled()) {
-    std::printf("request coalescing enabled (window %d us, max batch %d)\n",
-                coalescer_options.window_us, coalescer_options.max_batch);
-  }
-
   cpd::server::HttpServer server(options);
   cpd::server::ServiceStats stats;
   stats.set_metrics_enabled(metrics_enabled);
-  cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get(),
-                                 &coalescer);
+  cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get());
   const cpd::Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "server start failed: %s\n",
