@@ -107,8 +107,8 @@ void PanelSamplerMode(const BenchDataset& dataset, const BenchScale& scale) {
                  4);
   }
   table.Print();
-  std::printf("Sparse backend target: >= 2x dense throughput at large |C|/|Z| "
-              "(see BENCH_sampler.json from bench_micro_benchmarks).\n\n");
+  std::printf("Sparse backend target: >= 2x dense throughput at large "
+              "|C|/|Z|.\n\n");
 }
 
 void PanelB(const BenchDataset& dataset, const BenchScale& scale) {

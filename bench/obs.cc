@@ -7,8 +7,9 @@
 //      touches), single-threaded, on the real registry handles.
 //   2. End-to-end serving overhead: the cpd_serve stack (trained model,
 //      epoll, one closed-loop connection per pass issuing POST /v1/query)
-//      with ServiceStats metrics recording on and off (`cpd_serve
-//      --metrics off` is the same switch). One server serves both modes
+//      with its one metrics registry (service and transport families)
+//      recording on and off (`cpd_serve --metrics off` is the same
+//      switch). One server serves both modes
 //      and its passes alternate (off-on, on-off, ...), so drift in a
 //      shared machine's speed and the threads' placement land on both
 //      modes alike. Reports, per mode, best-of-N qps and the median
@@ -213,7 +214,7 @@ void Run() {
     PassResult on;
     for (int leg = 0; leg < 2; ++leg) {
       const bool is_off = (leg == 0) == (pair % 2 == 0);
-      stats.set_metrics_enabled(!is_off);
+      stats.registry()->set_enabled(!is_off);
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       (is_off ? off : on) = RunPass(http_server.port(), workload);
     }

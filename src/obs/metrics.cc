@@ -109,7 +109,8 @@ const std::vector<double>& Histogram::LatencyBoundsUs() {
   return bounds;
 }
 
-Histogram::Histogram() : stripes_(std::make_unique<Stripe[]>(kStripes)) {
+Histogram::Histogram(const std::atomic<bool>* enabled)
+    : enabled_(enabled), stripes_(std::make_unique<Stripe[]>(kStripes)) {
   const size_t num_buckets = LatencyBoundsUs().size() + 1;
   for (size_t s = 0; s < kStripes; ++s) {
     stripes_[s].buckets = std::vector<std::atomic<uint64_t>>(num_buckets);
@@ -117,6 +118,7 @@ Histogram::Histogram() : stripes_(std::make_unique<Stripe[]>(kStripes)) {
 }
 
 void Histogram::Record(double value) {
+  if (!enabled_->load(std::memory_order_relaxed)) return;
   const std::vector<double>& bounds = LatencyBoundsUs();
   // First bound >= value is the bucket; past the last bound -> +Inf bucket.
   const size_t index = static_cast<size_t>(
@@ -203,13 +205,13 @@ MetricsRegistry::Child* MetricsRegistry::GetChild(const std::string& name,
     child.labels = labels;
     switch (type) {
       case MetricType::kCounter:
-        child.counter = std::make_unique<Counter>();
+        child.counter = std::make_unique<Counter>(&enabled_);
         break;
       case MetricType::kGauge:
-        child.gauge = std::make_unique<Gauge>();
+        child.gauge = std::make_unique<Gauge>(&enabled_);
         break;
       case MetricType::kHistogram:
-        child.histogram = std::make_unique<Histogram>();
+        child.histogram = std::make_unique<Histogram>(&enabled_);
         break;
     }
   }

@@ -9,7 +9,11 @@
 /// Design points (docs/OBSERVABILITY.md covers the operator view):
 ///   - Handles are registered once (GetCounter/GetGauge/GetHistogram take a
 ///     registration mutex) and then recorded through raw pointers; the hot
-///     path is one relaxed atomic add, no locks, no allocation.
+///     path is one relaxed load of the registry's enabled flag plus one
+///     relaxed atomic add, no locks, no allocation.
+///   - MetricsRegistry::set_enabled(false) is the one metrics-off switch
+///     (cpd_serve --metrics off): every handle of that registry drops its
+///     records until it is re-enabled, and scrapes report frozen values.
 ///   - Histograms use one fixed log-spaced bucket layout (growth factor 1.1
 ///     from 1 us to ~60 s, ~190 buckets), so any two histograms are
 ///     mergeable bucket-by-bucket and percentiles reconstructed from bucket
@@ -23,7 +27,8 @@
 ///     duration is exactly 0 and scrape output is byte-deterministic
 ///     (tests/server_determinism_test.cc pins this across fresh stacks).
 ///   - A registry is an instantiable object, not a process singleton:
-///     ServiceStats owns one per server stack, so tests can build two
+///     ServiceStats owns one per server stack and HttpServer records its
+///     transport families into the same one, so tests can build two
 ///     stacks in one process and compare scrapes. There is no process-
 ///     global registry: every registry has an owner that scrapes it.
 
@@ -60,27 +65,39 @@ void AppendExpositionHeader(std::string* out, const std::string& name,
 void AppendSampleLine(std::string* out, const std::string& name,
                       const Labels& labels, double value);
 
-/// Monotonic counter. Record path: one relaxed fetch_add.
+/// Monotonic counter. Record path: one relaxed fetch_add while the owning
+/// registry is enabled (`enabled` is its flag).
 class Counter {
  public:
+  explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
   void Increment(uint64_t n = 1) {
+    if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  const std::atomic<bool>* enabled_;
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins gauge.
+/// Last-write-wins gauge; Set is dropped while the registry is disabled.
 class Gauge {
  public:
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  explicit Gauge(const std::atomic<bool>* enabled) : enabled_(enabled) {}
+  void Set(double value) {
+    if (!enabled_->load(std::memory_order_relaxed)) return;
+    value_.store(value, std::memory_order_relaxed);
+  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
+  const std::atomic<bool>* enabled_;
   std::atomic<double> value_{0.0};
 };
+
+/// The enabled flag of a histogram made outside any registry.
+inline const std::atomic<bool> kAlwaysEnabled{true};
 
 /// Fixed log-bucket histogram (see the file comment for the layout).
 class Histogram {
@@ -91,9 +108,12 @@ class Histogram {
   /// The shared bucket upper bounds: 1 * 1.1^i microseconds up to >= 60 s.
   static const std::vector<double>& LatencyBoundsUs();
 
-  Histogram();
+  /// `enabled` is the owning registry's flag; a standalone histogram
+  /// (no registry) is always on.
+  explicit Histogram(const std::atomic<bool>* enabled = &kAlwaysEnabled);
 
-  /// Records one observation. Relaxed atomics only; any thread.
+  /// Records one observation while `enabled`. Relaxed atomics only; any
+  /// thread.
   void Record(double value);
 
   /// Scrape-time merge of the stripes. `buckets[i]` counts observations in
@@ -116,6 +136,7 @@ class Histogram {
     std::vector<std::atomic<uint64_t>> buckets;
     std::atomic<double> sum{0.0};
   };
+  const std::atomic<bool>* enabled_;
   std::unique_ptr<Stripe[]> stripes_;
 };
 
@@ -135,6 +156,12 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Metrics-off switch: while disabled, every handle of this registry
+  /// drops Increment/Set/Record. Any thread, any time.
+  void set_enabled(bool enabled) {
+    enabled_.store(enabled, std::memory_order_relaxed);
+  }
 
   /// Handles are owned by the registry and stable until it is destroyed.
   Counter* GetCounter(const std::string& name, const std::string& help,
@@ -174,6 +201,7 @@ class MetricsRegistry {
   Child* GetChild(const std::string& name, const std::string& help,
                   MetricType type, const Labels& labels);
 
+  std::atomic<bool> enabled_{true};
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;
 };

@@ -43,9 +43,42 @@ HttpServer::HttpServer(HttpServerOptions options)
   if (options_.threads < 1) options_.threads = 1;
   if (options_.max_connections < 1) options_.max_connections = 1;
   if (options_.max_inflight < 1) options_.max_inflight = 1;
+  AttachMetrics(&own_metrics_);
 }
 
 HttpServer::~HttpServer() { Stop(); }
+
+void HttpServer::AttachMetrics(obs::MetricsRegistry* metrics) {
+  CPD_CHECK(!running());
+  metrics_ = metrics;
+  connections_accepted_ =
+      metrics->GetCounter("cpd_http_connections_accepted_total",
+                          "Connections accepted by the listener.");
+  connections_rejected_ =
+      metrics->GetCounter("cpd_http_connections_rejected_total",
+                          "Connections shed at the max_connections cap.");
+  requests_ = metrics->GetCounter("cpd_http_requests_total",
+                                  "Well-framed requests read off connections.");
+  const char* const classes[] = {"2xx", "4xx", "5xx"};
+  for (size_t i = 0; i < 3; ++i) {
+    responses_[i] =
+        metrics->GetCounter("cpd_http_responses_total",
+                            "Responses written, by status class.",
+                            {{"class", classes[i]}});
+  }
+  rejected_429_ =
+      metrics->GetCounter("cpd_http_rejected_429_total",
+                          "Requests shed by the inflight admission cap.");
+  deadline_504_ =
+      metrics->GetCounter("cpd_http_deadline_504_total",
+                          "Requests failed by the server deadline.");
+  const char* const stage_help =
+      "Transport-side request stages (no query type), microseconds.";
+  queue_wait_us_ = metrics->GetHistogram("cpd_request_stage_us", stage_help,
+                                         {{"stage", "queue_wait"}});
+  write_us_ = metrics->GetHistogram("cpd_request_stage_us", stage_help,
+                                    {{"stage", "write"}});
+}
 
 void HttpServer::Handle(const std::string& method, const std::string& pattern,
                         Handler handler) {
@@ -149,7 +182,7 @@ HttpResponse HttpServer::Dispatch(HttpRequest* request) {
   int inflight = inflight_.load(std::memory_order_relaxed);
   do {
     if (inflight >= options_.max_inflight) {
-      rejected_429_.fetch_add(1, std::memory_order_relaxed);
+      rejected_429_->Increment();
       HttpResponse shed = Render429();
       shed.headers["X-Request-Id"] = request->trace_id;
       return shed;
@@ -172,7 +205,7 @@ HttpResponse HttpServer::Dispatch(HttpRequest* request) {
   if (options_.deadline_ms > 0) {
     const double elapsed_ms = ElapsedMicros(start) / 1000.0;
     if (elapsed_ms > options_.deadline_ms) {
-      deadline_504_.fetch_add(1, std::memory_order_relaxed);
+      deadline_504_->Increment();
       response = MakeErrorResponse(
           504, Status::DeadlineExceeded(
                    StrFormat("request exceeded the %d ms deadline",
@@ -212,7 +245,7 @@ const HttpServer::Route* HttpServer::MatchRoute(
 }
 
 void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  requests_->Increment();
   const int64_t received_us = obs::NowMicros();
   // The event loop must never block on a handler: route the request onto a
   // worker and post the response back to the loop when it is ready.
@@ -221,7 +254,7 @@ void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
     // Queue wait: parsed-on-the-loop to picked-up-by-a-worker.
     request.timing.queue_us =
         static_cast<double>(obs::NowMicros() - received_us);
-    RecordStage("queue_wait", request.timing.queue_us);
+    queue_wait_us_->Record(request.timing.queue_us);
     const HttpResponse response = Dispatch(&request);
     CountResponse(response.status);
     const bool keep_alive =
@@ -232,13 +265,7 @@ void HttpServer::OnRequest(uint64_t token, HttpRequest request) {
   });
 }
 
-void HttpServer::OnResponseWritten(double micros) {
-  RecordStage("write", micros);
-}
-
-void HttpServer::RecordStage(const char* stage, double micros) {
-  if (stage_recorder_) stage_recorder_(stage, micros);
-}
+void HttpServer::OnResponseWritten(double micros) { write_us_->Record(micros); }
 
 void HttpServer::LogRequest(const HttpRequest& request,
                             const HttpResponse& response, double total_us) {
@@ -267,7 +294,7 @@ void HttpServer::LogRequest(const HttpRequest& request,
 }
 
 HttpResponse HttpServer::OnConnectionShed() {
-  connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+  connections_rejected_->Increment();
   return Render429();
 }
 
@@ -279,17 +306,11 @@ HttpResponse HttpServer::OnFramingError(const Status& error,
 }
 
 void HttpServer::OnConnectionAccepted() {
-  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+  connections_accepted_->Increment();
 }
 
 void HttpServer::CountResponse(int status) {
-  if (status < 300) {
-    responses_2xx_.fetch_add(1, std::memory_order_relaxed);
-  } else if (status < 500) {
-    responses_4xx_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    responses_5xx_.fetch_add(1, std::memory_order_relaxed);
-  }
+  responses_[status < 300 ? 0 : status < 500 ? 1 : 2]->Increment();
 }
 
 void HttpServer::Stop() {
@@ -302,23 +323,7 @@ void HttpServer::Stop() {
   listen_fd_ = -1;
   pool_.reset();
   event_loop_.reset();
-  CPD_LOG(Info) << "server on port " << port_ << " stopped ("
-                << requests_.load() << " requests served)";
-}
-
-HttpServerStats HttpServer::stats() const {
-  HttpServerStats stats;
-  stats.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  stats.connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.responses_2xx = responses_2xx_.load(std::memory_order_relaxed);
-  stats.responses_4xx = responses_4xx_.load(std::memory_order_relaxed);
-  stats.responses_5xx = responses_5xx_.load(std::memory_order_relaxed);
-  stats.rejected_429 = rejected_429_.load(std::memory_order_relaxed);
-  stats.deadline_504 = deadline_504_.load(std::memory_order_relaxed);
-  return stats;
+  CPD_LOG(Info) << "server on port " << port_ << " stopped";
 }
 
 }  // namespace cpd::server

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "server/event_loop.h"
 #include "server/http.h"
 #include "util/status.h"
@@ -75,18 +76,6 @@ struct HttpServerOptions {
   int64_t slow_request_us = 0;
 };
 
-/// Monotonic counters, readable while serving (statsz).
-struct HttpServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  ///< 429 at the accept edge.
-  uint64_t requests = 0;              ///< Requests parsed off a connection.
-  uint64_t responses_2xx = 0;
-  uint64_t responses_4xx = 0;         ///< Includes admission 429s.
-  uint64_t responses_5xx = 0;         ///< Includes deadline 504s.
-  uint64_t rejected_429 = 0;          ///< Request-level admission rejections.
-  uint64_t deadline_504 = 0;
-};
-
 class HttpServer : private EventLoopHandler {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
@@ -115,15 +104,17 @@ class HttpServer : private EventLoopHandler {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  HttpServerStats stats() const;
+  /// Registers the transport families in `metrics` and records into them
+  /// from then on: the six cpd_http_* counters (every class child of
+  /// cpd_http_responses_total up front, so a fresh scrape shows zeros) and
+  /// cpd_request_stage_us{stage="queue_wait"|"write"}. RegisterCpdRoutes
+  /// attaches the ServiceStats registry; until then the server records
+  /// into a registry it owns. `metrics` must outlive the server; call
+  /// before Start().
+  void AttachMetrics(obs::MetricsRegistry* metrics);
 
-  /// Sink for transport-side stage durations ("queue_wait", "write" — see
-  /// ServiceStats::kRequestStageNames), microseconds. json_api wires this
-  /// to the metrics registry; null (the default) drops the samples. Call
-  /// before Start(); the callback must be thread-safe.
-  void SetStageRecorder(std::function<void(const char*, double)> recorder) {
-    stage_recorder_ = std::move(recorder);
-  }
+  /// The registry the transport records into (see AttachMetrics).
+  const obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
   struct Route {
@@ -149,8 +140,6 @@ class HttpServer : private EventLoopHandler {
   void OnConnectionAccepted() override;
   void OnResponseWritten(double micros) override;
 
-  /// Records one transport stage sample if a recorder is set.
-  void RecordStage(const char* stage, double micros);
   /// The access-log line (+ slow-request Warning when the request
   /// exceeded options_.slow_request_us).
   void LogRequest(const HttpRequest& request, const HttpResponse& response,
@@ -158,7 +147,6 @@ class HttpServer : private EventLoopHandler {
 
   HttpServerOptions options_;
   std::vector<Route> routes_;
-  std::function<void(const char*, double)> stage_recorder_;
   std::atomic<uint64_t> next_trace_id_{0};
 
   int listen_fd_ = -1;
@@ -170,15 +158,17 @@ class HttpServer : private EventLoopHandler {
   std::atomic<bool> stopping_{false};
   std::atomic<int> inflight_{0};
 
-  // Counters (relaxed atomics; stats() snapshots them).
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> responses_2xx_{0};
-  std::atomic<uint64_t> responses_4xx_{0};
-  std::atomic<uint64_t> responses_5xx_{0};
-  std::atomic<uint64_t> rejected_429_{0};
-  std::atomic<uint64_t> deadline_504_{0};
+  // Transport metric handles, all in *metrics_ (AttachMetrics).
+  obs::MetricsRegistry own_metrics_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Counter* connections_accepted_ = nullptr;
+  obs::Counter* connections_rejected_ = nullptr;
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* responses_[3] = {};  ///< By status class: 2xx, 4xx, 5xx.
+  obs::Counter* rejected_429_ = nullptr;
+  obs::Counter* deadline_504_ = nullptr;
+  obs::Histogram* queue_wait_us_ = nullptr;
+  obs::Histogram* write_us_ = nullptr;
 };
 
 }  // namespace cpd::server

@@ -165,12 +165,7 @@ constexpr char kQueryErrorsHelp[] = "Typed per-query failures, per model.";
 ServiceStats::ServiceStats() {
   // Pre-create the default model's children so a fresh scrape shows the
   // full catalog at zero instead of omitting untouched families.
-  registry_.GetCounter(kQueriesFamily, kQueriesHelp,
-                       {{"model", kDefaultModel}});
-  registry_.GetCounter(kBatchQueriesFamily, kBatchQueriesHelp,
-                       {{"model", kDefaultModel}});
-  registry_.GetCounter(kQueryErrorsFamily, kQueryErrorsHelp,
-                       {{"model", kDefaultModel}});
+  HandlesFor(kDefaultModel);
   ingests_ = registry_.GetCounter("cpd_service_ingests_total",
                                   "Ingest batches applied and swapped in.");
   ingest_failures_ =
@@ -196,37 +191,39 @@ ServiceStats::ServiceStats() {
            {"stage", kQueryStageNames[stage]}});
     }
   }
-  for (size_t stage = 0; stage < kNumRequestStages; ++stage) {
-    request_stage_[stage] = registry_.GetHistogram(
-        "cpd_request_stage_us",
-        "Transport-side request stages (no query type), microseconds.",
-        {{"stage", kRequestStageNames[stage]}});
+}
+
+ServiceStats::ModelHandles ServiceStats::HandlesFor(const std::string& model) {
+  {
+    std::shared_lock<std::shared_mutex> lock(model_handles_mutex_);
+    const auto it = model_handles_.find(model);
+    if (it != model_handles_.end()) return it->second;
   }
+  std::lock_guard<std::shared_mutex> lock(model_handles_mutex_);
+  // Registration is idempotent, so a racing miss resolves the same handles.
+  const obs::Labels labels = {{"model", model}};
+  const ModelHandles handles{
+      registry_.GetCounter(kQueriesFamily, kQueriesHelp, labels),
+      registry_.GetCounter(kBatchQueriesFamily, kBatchQueriesHelp, labels),
+      registry_.GetCounter(kQueryErrorsFamily, kQueryErrorsHelp, labels)};
+  model_handles_.emplace(model, handles);
+  return handles;
 }
 
 void ServiceStats::CountQuery(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_.GetCounter(kQueriesFamily, kQueriesHelp, {{"model", model}})
-      ->Increment();
+  HandlesFor(model).queries->Increment();
 }
 
 void ServiceStats::CountBatchQuery(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_
-      .GetCounter(kBatchQueriesFamily, kBatchQueriesHelp, {{"model", model}})
-      ->Increment();
+  HandlesFor(model).batch_queries->Increment();
 }
 
 void ServiceStats::CountQueryError(const std::string& model) {
-  if (!metrics_enabled()) return;
-  registry_
-      .GetCounter(kQueryErrorsFamily, kQueryErrorsHelp, {{"model", model}})
-      ->Increment();
+  HandlesFor(model).query_errors->Increment();
 }
 
 void ServiceStats::CountIngestSuccess(uint64_t documents, uint64_t users,
                                       uint64_t links) {
-  if (!metrics_enabled()) return;
   ingests_->Increment();
   ingested_documents_->Increment(documents);
   ingested_users_->Increment(users);
@@ -234,7 +231,6 @@ void ServiceStats::CountIngestSuccess(uint64_t documents, uint64_t users,
 }
 
 void ServiceStats::CountIngestFailure() {
-  if (!metrics_enabled()) return;
   ingest_failures_->Increment();
 }
 
@@ -279,7 +275,7 @@ std::map<std::string, ServiceStats::ModelCounters> ServiceStats::PerModel()
 }
 
 void ServiceStats::RecordLatency(size_t type, double micros) {
-  if (type >= kNumQueryTypes || !metrics_enabled()) return;
+  if (type >= kNumQueryTypes) return;
   latency_[type]->Record(micros);
 }
 
@@ -295,18 +291,8 @@ ServiceStats::LatencySummary ServiceStats::LatencyFor(size_t type) const {
 
 void ServiceStats::RecordQueryStage(size_t type, QueryStage stage,
                                     double micros) {
-  if (type >= kNumQueryTypes || !metrics_enabled()) return;
+  if (type >= kNumQueryTypes) return;
   query_stage_[type][static_cast<size_t>(stage)]->Record(micros);
-}
-
-void ServiceStats::RecordRequestStage(const char* stage, double micros) {
-  if (!metrics_enabled()) return;
-  for (size_t s = 0; s < kNumRequestStages; ++s) {
-    if (std::string_view(stage) == kRequestStageNames[s]) {
-      request_stage_[s]->Record(micros);
-      return;
-    }
-  }
 }
 
 int HttpStatusForCode(StatusCode code) {
@@ -662,18 +648,26 @@ HttpResponse HandleHealthz(ModelRegistry* registry) {
   return JsonResponse(200, out);
 }
 
-HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
-                          const ServiceStats* stats) {
-  const HttpServerStats transport = server->stats();
+HttpResponse HandleStatsz(ModelRegistry* registry, const ServiceStats* stats) {
+  // The transport block reads back the families HttpServer records into the
+  // same registry (AttachMetrics).
+  const obs::MetricsRegistry& metrics = *stats->registry();
+  const auto total = [&metrics](const char* family) {
+    return Json(metrics.CounterTotal(family));
+  };
+  std::map<std::string, uint64_t> responses =
+      metrics.CounterByLabel("cpd_http_responses_total");
   Json server_json = Json::MakeObject();
-  server_json.Set("connections_accepted", Json(transport.connections_accepted));
-  server_json.Set("connections_rejected", Json(transport.connections_rejected));
-  server_json.Set("requests", Json(transport.requests));
-  server_json.Set("responses_2xx", Json(transport.responses_2xx));
-  server_json.Set("responses_4xx", Json(transport.responses_4xx));
-  server_json.Set("responses_5xx", Json(transport.responses_5xx));
-  server_json.Set("rejected_429", Json(transport.rejected_429));
-  server_json.Set("deadline_504", Json(transport.deadline_504));
+  server_json.Set("connections_accepted",
+                  total("cpd_http_connections_accepted_total"));
+  server_json.Set("connections_rejected",
+                  total("cpd_http_connections_rejected_total"));
+  server_json.Set("requests", total("cpd_http_requests_total"));
+  server_json.Set("responses_2xx", Json(responses["2xx"]));
+  server_json.Set("responses_4xx", Json(responses["4xx"]));
+  server_json.Set("responses_5xx", Json(responses["5xx"]));
+  server_json.Set("rejected_429", total("cpd_http_rejected_429_total"));
+  server_json.Set("deadline_504", total("cpd_http_deadline_504_total"));
 
   Json service_json = Json::MakeObject();
   service_json.Set("queries", Json(stats->queries()));
@@ -744,49 +738,12 @@ HttpResponse HandleStatsz(const HttpServer* server, ModelRegistry* registry,
 }
 
 /// GET /metricsz: Prometheus text exposition. The ServiceStats registry
-/// renders itself; transport (HttpServerStats) and model-registry numbers
-/// live in their own structs and are synthesized into families here at
-/// scrape time — same sources /statsz reads, same scrape consistency
-/// (counters are independently relaxed either way).
-HttpResponse HandleMetricsz(const HttpServer* server, ModelRegistry* registry,
+/// (service and transport families) renders itself; the model-registry
+/// numbers live in ModelRegistry and are synthesized into families here at
+/// scrape time — same sources /statsz reads.
+HttpResponse HandleMetricsz(ModelRegistry* registry,
                             const ServiceStats* stats) {
   std::string out = stats->registry()->ExpositionText();
-
-  const HttpServerStats transport = server->stats();
-  obs::AppendExpositionHeader(&out, "cpd_http_connections_accepted_total",
-                              "Connections accepted by the listener.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_connections_accepted_total", {},
-                        static_cast<double>(transport.connections_accepted));
-  obs::AppendExpositionHeader(&out, "cpd_http_connections_rejected_total",
-                              "Connections shed at the max_connections cap.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_connections_rejected_total", {},
-                        static_cast<double>(transport.connections_rejected));
-  obs::AppendExpositionHeader(&out, "cpd_http_requests_total",
-                              "Well-framed requests read off connections.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_requests_total", {},
-                        static_cast<double>(transport.requests));
-  obs::AppendExpositionHeader(&out, "cpd_http_responses_total",
-                              "Responses written, by status class.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "2xx"}},
-                        static_cast<double>(transport.responses_2xx));
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "4xx"}},
-                        static_cast<double>(transport.responses_4xx));
-  obs::AppendSampleLine(&out, "cpd_http_responses_total", {{"class", "5xx"}},
-                        static_cast<double>(transport.responses_5xx));
-  obs::AppendExpositionHeader(&out, "cpd_http_rejected_429_total",
-                              "Requests shed by the inflight admission cap.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_rejected_429_total", {},
-                        static_cast<double>(transport.rejected_429));
-  obs::AppendExpositionHeader(&out, "cpd_http_deadline_504_total",
-                              "Requests failed by the server deadline.",
-                              "counter");
-  obs::AppendSampleLine(&out, "cpd_http_deadline_504_total", {},
-                        static_cast<double>(transport.deadline_504));
 
   obs::AppendExpositionHeader(&out, "cpd_model_reloads_total",
                               "Successful model loads and hot-swaps.",
@@ -986,14 +943,12 @@ void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
   server->Handle("GET", "/healthz", [registry](const HttpRequest&) {
     return HandleHealthz(registry);
   });
-  server->Handle("GET", "/statsz",
-                 [server, registry, stats](const HttpRequest&) {
-                   return HandleStatsz(server, registry, stats);
-                 });
-  server->Handle("GET", "/metricsz",
-                 [server, registry, stats](const HttpRequest&) {
-                   return HandleMetricsz(server, registry, stats);
-                 });
+  server->Handle("GET", "/statsz", [registry, stats](const HttpRequest&) {
+    return HandleStatsz(registry, stats);
+  });
+  server->Handle("GET", "/metricsz", [registry, stats](const HttpRequest&) {
+    return HandleMetricsz(registry, stats);
+  });
   server->Handle("POST", "/admin/reload",
                  [registry](const HttpRequest& request) {
                    return HandleReload(request, registry);
@@ -1002,11 +957,7 @@ void RegisterCpdRoutes(HttpServer* server, ModelRegistry* registry,
                  [registry, stats, pipeline](const HttpRequest& request) {
                    return HandleIngest(request, registry, stats, pipeline);
                  });
-  // Transport-side stage samples (queue_wait, write) land in the same
-  // registry the handlers record into.
-  server->SetStageRecorder([stats](const char* stage, double micros) {
-    stats->RecordRequestStage(stage, micros);
-  });
+  server->AttachMetrics(stats->registry());
 }
 
 }  // namespace cpd::server

@@ -50,9 +50,9 @@
 ///                               downtime. 409 when the server runs without
 ///                               an ingest pipeline.
 
-#include <atomic>
 #include <cstdint>
 #include <map>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -71,13 +71,16 @@ class IngestPipeline;
 namespace cpd::server {
 
 /// Service-level counters and latency/stage histograms, all backed by an
-/// owned obs::MetricsRegistry (the transport counters live in
-/// HttpServerStats and are folded into /metricsz at scrape time). The
-/// registry is per-stats-object, not process-global, so two server stacks
-/// in one process (server_determinism_test) scrape independently.
+/// owned obs::MetricsRegistry. RegisterCpdRoutes attaches the same registry
+/// to the HttpServer, which records the transport families (cpd_http_*,
+/// cpd_request_stage_us) into it, so one registry holds every metric of a
+/// server stack. It is per-stats-object, not process-global, so two server
+/// stacks in one process (server_determinism_test) scrape independently;
+/// registry()->set_enabled(false) is the stack's metrics-off switch.
 ///
-/// /statsz renders these through the accessors below with its original
-/// field names; /metricsz renders registry->ExpositionText() directly.
+/// /statsz renders these through the accessors below (and the transport
+/// families through the registry) with its original field names;
+/// /metricsz renders registry->ExpositionText() directly.
 /// Latency percentiles come from fixed log-bucket histograms (<= ~5%
 /// relative error, see obs/metrics.h) instead of the old 2048-sample ring:
 /// the ring's racy window sampling made scrapes nondeterministic, the
@@ -97,27 +100,12 @@ class ServiceStats {
   static constexpr const char* kQueryStageNames[kNumQueryStages] = {
       "parse", "scoring", "serialize"};
 
-  /// Transport-side stages recorded by HttpServer's stage-recorder hook,
-  /// where the query type is unknown (cpd_request_stage_us{stage}).
-  static constexpr size_t kNumRequestStages = 2;
-  static constexpr const char* kRequestStageNames[kNumRequestStages] = {
-      "queue_wait", "write"};
-
   ServiceStats();
   ServiceStats(const ServiceStats&) = delete;
   ServiceStats& operator=(const ServiceStats&) = delete;
 
   obs::MetricsRegistry* registry() { return &registry_; }
   const obs::MetricsRegistry* registry() const { return &registry_; }
-
-  /// --metrics off: every Count*/Record* becomes a no-op (scrapes render
-  /// zeros). bench_obs pins the instrumented-vs-off throughput delta.
-  void set_metrics_enabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool metrics_enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Per-model query counters, keyed by registry name.
   struct ModelCounters {
@@ -127,7 +115,8 @@ class ServiceStats {
   };
 
   /// Bumps the {model}-labeled counter child (aggregates are computed at
-  /// scrape by summing children).
+  /// scrape by summing children). The handles are resolved once per model
+  /// name; later calls take a shared lock and do one map lookup.
   void CountQuery(const std::string& model);
   void CountBatchQuery(const std::string& model);
   void CountQueryError(const std::string& model);
@@ -138,7 +127,7 @@ class ServiceStats {
 
   // ----- statsz aggregate reads (wire field names unchanged) -----
   uint64_t queries() const;        ///< Single queries answered OK.
-  uint64_t batch_queries() const;  ///< Requests inside batches.
+  uint64_t batch_queries() const;  ///< Requests answered OK in batches.
   uint64_t query_errors() const;   ///< Typed per-query failures.
   uint64_t ingests() const;        ///< Batches applied + swapped.
   uint64_t ingest_failures() const;
@@ -161,12 +150,20 @@ class ServiceStats {
   LatencySummary LatencyFor(size_t type) const;
 
   void RecordQueryStage(size_t type, QueryStage stage, double micros);
-  /// `stage` must be one of kRequestStageNames (unknown names are dropped).
-  void RecordRequestStage(const char* stage, double micros);
 
  private:
+  /// The {model}-labeled children of one model name.
+  struct ModelHandles {
+    obs::Counter* queries;
+    obs::Counter* batch_queries;
+    obs::Counter* query_errors;
+  };
+  /// `model`'s handles, registered on the first call for that name.
+  ModelHandles HandlesFor(const std::string& model);
+
   obs::MetricsRegistry registry_;
-  std::atomic<bool> enabled_{true};
+  std::shared_mutex model_handles_mutex_;
+  std::map<std::string, ModelHandles> model_handles_;
   // Handles registered once in the constructor; Record* is lock-free.
   obs::Counter* ingests_;
   obs::Counter* ingest_failures_;
@@ -175,7 +172,6 @@ class ServiceStats {
   obs::Counter* ingested_links_;
   obs::Histogram* latency_[kNumQueryTypes];
   obs::Histogram* query_stage_[kNumQueryTypes][kNumQueryStages];
-  obs::Histogram* request_stage_[kNumRequestStages];
 };
 
 /// HTTP status for a typed error (InvalidArgument -> 400, NotFound /

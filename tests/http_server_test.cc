@@ -330,6 +330,38 @@ TEST_F(HttpServerTest, HealthzStatszAndTypedErrors) {
             409);
 }
 
+TEST_F(HttpServerTest, DisabledRegistryGatesEveryFamily) {
+  const std::string path = SaveArtifact(*model_a_, "metrics_off.cpdb");
+  ServingFixture fixture(path);
+  fixture.stats.registry()->set_enabled(false);  // cpd_serve --metrics off.
+  ASSERT_TRUE(fixture.Start().ok());
+  const int port = fixture.server.port();
+
+  const std::string before = Fetch(port, "GET", "/metricsz").body;
+  ASSERT_NE(before.find("\ncpd_http_requests_total 0\n"), std::string::npos);
+  ASSERT_NE(before.find("\ncpd_request_stage_us_count{stage=\"write\"} 0\n"),
+            std::string::npos);
+  EXPECT_EQ(
+      Fetch(port, "POST", "/v1/query", R"({"type":"membership","user":0})")
+          .status,
+      200);
+  EXPECT_EQ(Fetch(port, "GET", "/healthz").status, 200);
+  EXPECT_EQ(Fetch(port, "GET", "/no/such/endpoint").status, 404);
+  // No sample of any family moved: service, query, transport, stages.
+  EXPECT_EQ(Fetch(port, "GET", "/metricsz").body, before);
+
+  // Re-enabling resumes recording on the same handles.
+  fixture.stats.registry()->set_enabled(true);
+  EXPECT_EQ(
+      Fetch(port, "POST", "/v1/query", R"({"type":"membership","user":0})")
+          .status,
+      200);
+  const std::string after = Fetch(port, "GET", "/metricsz").body;
+  EXPECT_NE(after.find("\ncpd_service_queries_total{model=\"default\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(after.find("\ncpd_http_requests_total 2\n"), std::string::npos);
+}
+
 TEST_F(HttpServerTest, MalformedHttpFramingGets400AndClose) {
   const std::string path = SaveArtifact(*model_a_, "framing.cpdb");
   ServingFixture fixture(path);
@@ -416,7 +448,8 @@ TEST_F(HttpServerTest, OverloadedRequestsGet429WithRetryAfter) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->status, 200);
 
-  EXPECT_GE(server.stats().rejected_429, 1u);
+  EXPECT_GE(server.metrics()->CounterTotal("cpd_http_rejected_429_total"),
+            1u);
   server.Stop();
 }
 
@@ -447,7 +480,9 @@ TEST_F(HttpServerTest, ConnectionFloodShedsAtTheAcceptEdge) {
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   EXPECT_EQ(shed->status, 429);
   EXPECT_FALSE(third->connected());  // 429-and-close at the accept edge.
-  EXPECT_GE(server.stats().connections_rejected, 1u);
+  EXPECT_GE(
+      server.metrics()->CounterTotal("cpd_http_connections_rejected_total"),
+      1u);
   server.Stop();
 }
 
@@ -478,7 +513,8 @@ TEST_F(HttpServerTest, SlowHandlerGets504) {
   EXPECT_NE(slow.body.find("DeadlineExceeded"), std::string::npos);
   const HttpResponse fast = Fetch(server.port(), "GET", "/fast");
   EXPECT_EQ(fast.status, 200);  // The deadline only fails over-budget work.
-  EXPECT_EQ(server.stats().deadline_504, 1u);
+  EXPECT_EQ(server.metrics()->CounterTotal("cpd_http_deadline_504_total"),
+            1u);
   server.Stop();
 }
 
@@ -1000,7 +1036,9 @@ TEST_F(HttpServerTest, PipelinedRequestsAreAnsweredInOrderOnOneConnection) {
   EXPECT_NE(first_reply.find("{\"n\":1}"), std::string::npos) << replies;
   EXPECT_NE(second_reply.find("Connection: close"), std::string::npos);
   EXPECT_NE(second_reply.find("{\"n\":2}"), std::string::npos) << replies;
-  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  EXPECT_EQ(
+      server.metrics()->CounterTotal("cpd_http_connections_accepted_total"),
+      1u);
   server.Stop();
 }
 

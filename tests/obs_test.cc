@@ -143,6 +143,28 @@ TEST(MetricsRegistryTest, HandlesAreStableAndIdempotent) {
   EXPECT_EQ(by_label.at("n"), 4u);
 }
 
+TEST(MetricsRegistryTest, DisabledRegistryDropsRecordsUntilReenabled) {
+  MetricsRegistry registry;
+  Counter* counter = registry.GetCounter("cpd_c_total", "c");
+  Gauge* gauge = registry.GetGauge("cpd_g", "g");
+  Histogram* histogram = registry.GetHistogram("cpd_h_us", "h");
+  registry.set_enabled(false);
+  counter->Increment(5);
+  gauge->Set(2.5);
+  histogram->Record(3.0);
+  EXPECT_EQ(counter->value(), 0u);
+  EXPECT_EQ(gauge->value(), 0.0);
+  EXPECT_EQ(histogram->Snap().count, 0u);
+
+  registry.set_enabled(true);
+  counter->Increment(5);
+  gauge->Set(2.5);
+  histogram->Record(3.0);
+  EXPECT_EQ(counter->value(), 5u);
+  EXPECT_EQ(gauge->value(), 2.5);
+  EXPECT_EQ(histogram->Snap().count, 1u);
+}
+
 TEST(MetricsRegistryTest, FamilyNamesSorted) {
   MetricsRegistry registry;
   registry.GetCounter("cpd_b_total", "b");

@@ -1,9 +1,10 @@
 // Determinism suite for the serving stack: under a frozen clock, the same
 // request trace driven through two fresh servers must produce
 // byte-identical responses (statuses, headers and bodies, /metricsz and
-// /statsz included); concurrent clients get the in-process engine's bytes;
-// and every framing-error probe, including the response-splitting and
-// request-smuggling ones, draws one exact pinned reply.
+// /statsz included); concurrent clients get the in-process engine's bytes
+// and exact per-model counts; and every framing-error probe, including the
+// response-splitting and request-smuggling ones, draws one exact pinned
+// reply.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +256,97 @@ TEST_F(ServerDeterminismTest, ConcurrentQueriesAreByteIdentical) {
   for (std::thread& thread : clients) thread.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(stats.queries(), 320u);
+  http_server.Stop();
+}
+
+TEST_F(ServerDeterminismTest, ConcurrentPerModelCountsAreExact) {
+  server::ModelRegistry registry(serve::ProfileIndexOptions{}, SharedGraph());
+  CPD_CHECK(registry.LoadFrom(*artifact_).ok());
+  CPD_CHECK(registry.LoadFrom("beta", *artifact_).ok());
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 4;
+  options.log_requests = false;
+  HttpServer http_server(options);
+  server::ServiceStats stats;
+  server::RegisterCpdRoutes(&http_server, &registry, &stats);
+  ASSERT_TRUE(http_server.Start().ok());
+  const int port = http_server.port();
+
+  // One round per client and iteration. Per round, "default" answers 1
+  // single query, 2 batch slots and 1 error; "beta" answers 2 single
+  // queries (one via the GET shortcut), 1 batch slot and 2 errors. The
+  // first beta request of every client races on registering beta's
+  // counters.
+  struct Step {
+    const char* method;
+    const char* target;
+    const char* body;
+    int status;
+  };
+  const std::vector<Step> round = {
+      {"POST", "/v1/query", R"({"type":"membership","user":1})", 200},
+      {"POST", "/v1/models/beta/query",
+       R"({"type":"top_users","community":0,"top_k":2})", 200},
+      {"POST", "/v1/query",
+       R"({"batch":[{"type":"membership","user":0},)"
+       R"({"type":"membership","user":999999},)"
+       R"({"type":"top_users","community":1,"top_k":2}]})",
+       200},
+      {"POST", "/v1/models/beta/query",
+       R"({"batch":[{"type":"rank","words":[1,2]},{"type":"bogus"}]})", 200},
+      {"POST", "/v1/models/beta/query",
+       R"({"type":"membership","user":999999})", 404},
+      {"GET", "/v1/models/beta/membership/2?k=2", "", 200},
+  };
+  constexpr int kClients = 4;
+  constexpr int kRounds = 25;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&] {
+      auto client = HttpClient::Connect(kHost, port);
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kRounds; ++i) {
+        for (const Step& step : round) {
+          auto response =
+              client->RoundTrip(step.method, step.target, step.body);
+          if (!response.ok() || response->status != step.status) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : clients) thread.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  auto client = HttpClient::Connect(kHost, port);
+  ASSERT_TRUE(client.ok());
+  auto statsz_response = client->RoundTrip("GET", "/statsz");
+  ASSERT_TRUE(statsz_response.ok());
+  auto statsz = Json::Parse(statsz_response->body);
+  ASSERT_TRUE(statsz.ok());
+  const Json* models = statsz->Find("models");
+  ASSERT_NE(models, nullptr);
+  constexpr double kTotalRounds = kClients * kRounds;
+  const auto expect_row = [&](const char* name, double queries,
+                              double batch_queries, double query_errors) {
+    const Json* row = models->Find(name);
+    ASSERT_NE(row, nullptr) << name;
+    EXPECT_EQ(row->Find("queries")->number(), queries) << name;
+    EXPECT_EQ(row->Find("batch_queries")->number(), batch_queries) << name;
+    EXPECT_EQ(row->Find("query_errors")->number(), query_errors) << name;
+  };
+  expect_row("default", kTotalRounds, 2 * kTotalRounds, kTotalRounds);
+  expect_row("beta", 2 * kTotalRounds, kTotalRounds, 2 * kTotalRounds);
+  const Json* service = statsz->Find("service");
+  EXPECT_EQ(service->Find("queries")->number(), 3 * kTotalRounds);
+  EXPECT_EQ(service->Find("batch_queries")->number(), 3 * kTotalRounds);
+  EXPECT_EQ(service->Find("query_errors")->number(), 3 * kTotalRounds);
   http_server.Stop();
 }
 

@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
 
   cpd::server::HttpServer server(options);
   cpd::server::ServiceStats stats;
-  stats.set_metrics_enabled(metrics_enabled);
+  stats.registry()->set_enabled(metrics_enabled);
   cpd::server::RegisterCpdRoutes(&server, &registry, &stats, pipeline.get());
   const cpd::Status started = server.Start();
   if (!started.ok()) {
