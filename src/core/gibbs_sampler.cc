@@ -79,6 +79,40 @@ GibbsSampler::GibbsSampler(const SocialGraph& graph, const CpdConfig& config,
                            const LinkCaches& caches, ModelState* state)
     : graph_(graph), config_(config), caches_(caches), state_(state) {
   CPD_CHECK(state != nullptr);
+  log_n_plus_alpha_ = LogCountTable(state->alpha);
+  log_n_plus_z_alpha_ =
+      LogCountTable(static_cast<double>(state->num_topics) * state->alpha);
+  log_n_plus_beta_ = LogCountTable(state->beta);
+  denominator_memo_.resize(static_cast<size_t>(state->num_topics));
+}
+
+double GibbsSampler::LogCountTable::Miss(int64_t count) {
+  if (count < 0 || static_cast<uint64_t>(count) >= kMaxEntries) {
+    return std::log(static_cast<double>(count) + offset_);
+  }
+  const auto k = static_cast<size_t>(count);
+  const size_t old_size = values_.size();
+  values_.resize(std::min(kMaxEntries, std::max(k + 1, 2 * old_size)));
+  for (size_t i = old_size; i < values_.size(); ++i) {
+    values_[i] = std::log(static_cast<double>(i) + offset_);
+  }
+  return values_[k];
+}
+
+const double* GibbsSampler::TopicDenominatorTerms(int z, size_t len) {
+  const ModelState& s = *state_;
+  const double v_beta = static_cast<double>(s.vocab_size) * s.beta;
+  const int64_t n_z = s.n_z[static_cast<size_t>(z)];
+  DenominatorMemo& memo = denominator_memo_[static_cast<size_t>(z)];
+  if (memo.n_z != n_z) {
+    memo.n_z = n_z;
+    memo.terms.clear();
+  }
+  for (size_t j = memo.terms.size(); j < len; ++j) {
+    memo.terms.push_back(std::log(static_cast<double>(n_z) + v_beta +
+                                  static_cast<double>(j)));
+  }
+  return memo.terms.data();
 }
 
 double GibbsSampler::LinkEnergyParts(UserId u, UserId v, int z, int32_t time,
@@ -263,29 +297,31 @@ void GibbsSampler::ResampleTopicDense(DocId d, Rng* rng) {
 }
 
 double GibbsSampler::TopicLogWeight(DocId d, const Document& doc, int32_t c,
-                                    int z) const {
+                                    int z) {
   const ModelState& s = *state_;
   const int kz = s.num_topics;
   const size_t vocab = s.vocab_size;
   const size_t len = doc.words.size();
-  const double v_beta = static_cast<double>(vocab) * s.beta;
 
-  double lw = std::log(
-      static_cast<double>(s.n_cz[static_cast<size_t>(c) * kz + z]) + s.alpha);
+  double lw = log_n_plus_alpha_.Log(s.n_cz[static_cast<size_t>(c) * kz + z]);
   // Dirichlet-multinomial word term over unique words: the histogram form of
   // the dense path's "+ occurrences so far" product (same multiset, so the
-  // same value without the O(len^2) rescan).
+  // same value without the O(len^2) rescan). The first occurrence's
+  // log(n_zw + beta) comes from the count-indexed memo; repeats are
+  // computed directly, since (n_zw + beta) + i need not round like
+  // (n_zw + i) + beta.
   for (const SparseCount& entry : s.doc_words.Row(d)) {
-    const double base = static_cast<double>(
-        s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(entry.index)]);
-    for (int i = 0; i < entry.count; ++i) {
+    const int32_t count =
+        s.n_zw[static_cast<size_t>(z) * vocab + static_cast<size_t>(entry.index)];
+    lw += log_n_plus_beta_.Log(count);
+    const double base = static_cast<double>(count);
+    for (int i = 1; i < entry.count; ++i) {
       lw += std::log(base + s.beta + static_cast<double>(i));
     }
   }
-  for (size_t j = 0; j < len; ++j) {
-    lw -= std::log(static_cast<double>(s.n_z[static_cast<size_t>(z)]) + v_beta +
-                   static_cast<double>(j));
-  }
+  // The same terms the direct loop would take, subtracted in the same order.
+  const double* denominator = TopicDenominatorTerms(z, len);
+  for (size_t j = 0; j < len; ++j) lw -= denominator[j];
 
   if (config_.ablation.model_diffusion && config_.ablation.heterogeneous_links &&
       community_uses_diffusion_) {
@@ -682,15 +718,11 @@ void GibbsSampler::ResampleCommunitySparse(DocId d, Rng* rng) {
     }
   }
 
-  const double z_alpha = static_cast<double>(kz) * s.alpha;
   const auto log_rest = [&](int cand) {
     double lw = 0.0;
     if (community_uses_content_) {
-      lw += std::log(
-                static_cast<double>(s.n_cz[static_cast<size_t>(cand) * kz + z]) +
-                s.alpha) -
-            std::log(static_cast<double>(s.n_c[static_cast<size_t>(cand)]) +
-                     z_alpha);
+      lw += log_n_plus_alpha_.Log(s.n_cz[static_cast<size_t>(cand) * kz + z]) -
+            log_n_plus_z_alpha_.Log(s.n_c[static_cast<size_t>(cand)]);
     }
     for (size_t i = 0; i < num_friends; ++i) {
       const double val =

@@ -217,7 +217,32 @@ class GibbsSampler {
 
   /// Exact (current-counts) unnormalized log conditional of topic z for
   /// document d in community c — the MH target of the sparse topic kernel.
-  double TopicLogWeight(DocId d, const Document& doc, int32_t c, int z) const;
+  /// Reads its integer-count logs from the memo tables below.
+  double TopicLogWeight(DocId d, const Document& doc, int32_t c, int z);
+
+  /// std::log(double(k) + offset) for integer counts k, filled on demand.
+  /// Entry k is std::log of the same double the direct call computes, so a
+  /// lookup returns the direct call's bits. Grows to the largest count seen
+  /// (up to kMaxEntries); larger or negative counts are computed directly.
+  class LogCountTable {
+   public:
+    explicit LogCountTable(double offset = 0.0) : offset_(offset) {}
+    double Log(int64_t count) {
+      const auto k = static_cast<uint64_t>(count);
+      return k < values_.size() ? values_[k] : Miss(count);
+    }
+
+   private:
+    static constexpr size_t kMaxEntries = size_t{1} << 16;
+    double Miss(int64_t count);
+    double offset_;
+    std::vector<double> values_;
+  };
+
+  /// The Dirichlet-multinomial denominator terms of topic z,
+  /// log(n_z + |W| beta + j) for j < len, memoized per topic while n_z[z]
+  /// keeps the value they were computed at.
+  const double* TopicDenominatorTerms(int z, size_t len);
 
   /// Shared candidate-vector math of the community conditional (Eq. 14),
   /// used identically by the dense scan and the sparse MH evaluator so the
@@ -297,6 +322,18 @@ class GibbsSampler {
   std::vector<double> friend_rows_;
   std::vector<double> friend_lambda_;
   std::vector<double> friend_base_;
+
+  // Integer-count log memos of the sparse kernels (the priors are read once,
+  // at construction). Each sampler owns its own, and a sampler is driven by
+  // one thread at a time, so they need no lock.
+  LogCountTable log_n_plus_alpha_;    // log(n_cz + alpha)
+  LogCountTable log_n_plus_z_alpha_;  // log(n_c + |Z| alpha)
+  LogCountTable log_n_plus_beta_;     // log(n_zw + beta)
+  struct DenominatorMemo {
+    int64_t n_z = -1;  // n_z[z] the terms were computed at.
+    std::vector<double> terms;
+  };
+  std::vector<DenominatorMemo> denominator_memo_;
 
   MhStats mh_;
 
