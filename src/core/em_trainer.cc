@@ -1,13 +1,14 @@
 #include "core/em_trainer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <unordered_set>
 #include <utility>
 
+#include "core/logistic_fit.h"
 #include "sampling/distributions.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 #include "util/timer.h"
 
 namespace cpd {
@@ -16,34 +17,6 @@ namespace {
 
 /// Logical trace row of the trainer's spans.
 constexpr int kTrainerTid = 0;
-
-// The logistic regression's two passes over its column-major design matrix
-// x (x[k * n + i] = feature k of example i). The k loops are expanded at
-// compile time so their sums stay in registers; both keep the reference
-// order — the dot w.x runs over k in order, and every grad[k] sums its
-// examples in order.
-template <size_t... K>
-void ComputeResiduals(const double* weights, const double* x, size_t n,
-                      size_t num_pos, size_t begin, size_t end,
-                      double* residual, std::index_sequence<K...>) {
-  const double w_k[] = {weights[K]...};
-  for (size_t i = begin; i < end; ++i) {
-    double w = 0.0;
-    ((w += w_k[K] * x[K * n + i]), ...);
-    residual[i] = (i < num_pos ? 1.0 : 0.0) - Sigmoid(w);
-  }
-}
-
-template <size_t... K>
-void AccumulateGradient(const double* residual, const double* x, size_t n,
-                        double* grad, std::index_sequence<K...>) {
-  double g[] = {(static_cast<void>(K), 0.0)...};
-  for (size_t i = 0; i < n; ++i) {
-    const double r = residual[i];
-    ((g[K] += r * x[K * n + i]), ...);
-  }
-  ((grad[K] = g[K]), ...);
-}
 
 }  // namespace
 
@@ -421,9 +394,9 @@ void EmTrainer::TrainDiffusionWeights(Rng* rng) {
   }
 
   // Column-major design matrix, x[k * n + i] = feature k of example i. Every
-  // example depends only on its own endpoints, so the fill and the per-
-  // iteration residuals split over the executor's shards without changing
-  // a bit; the gradient is then summed sequentially in example order.
+  // example depends only on its own endpoints, so the fill and each Newton
+  // step's sigmoid pass split over the executor's shards without changing
+  // a bit; the gradient and Hessian are then summed in example order.
   const size_t n = pairs.size();
   std::vector<double> x(static_cast<size_t>(kNumDiffusionWeights) * n);
   const auto column = [&x, n](int k) {
@@ -454,28 +427,25 @@ void EmTrainer::TrainDiffusionWeights(Rng* rng) {
     }
   });
 
-  // Full-batch gradient ascent on the regularized log-likelihood.
-  constexpr auto kFeatures = std::make_index_sequence<kNumDiffusionWeights>();
-  std::vector<double> residual(n);
-  const double n_inv = 1.0 / static_cast<double>(n);
-  for (int iter = 0; iter < config_.nu_iterations; ++iter) {
-    ForEachExampleRange(n, [&](size_t begin, size_t end) {
-      ComputeResiduals(s.weights.data(), x.data(), n, num_pos, begin, end,
-                       residual.data(), kFeatures);
-    });
-    double grad[kNumDiffusionWeights];
-    AccumulateGradient(residual.data(), x.data(), n, grad, kFeatures);
-    for (int k = 0; k < kNumDiffusionWeights; ++k) {
-      // Ablated factors keep their weight pinned at initialization.
-      if (k == kWeightPopularity && !config_.ablation.topic_factor) continue;
-      if (k >= kWeightFeature0 && k < kWeightFeature0 + kNumUserFeatures &&
-          !config_.ablation.individual_factor) {
-        continue;
-      }
-      s.weights[k] += config_.nu_learning_rate *
-                      (grad[k] * n_inv - config_.nu_l2 * s.weights[k]);
-    }
+  // Newton's method on the regularized log-likelihood (logistic_fit.h).
+  // Ablated factors keep their weight pinned at initialization. So does the
+  // eta-score weight: its feature, CommunityDiffusionScore, is ~1e-2, so
+  // gradient steps never moved it by more than 1%, while solving for it
+  // drives it far from the Eq. 5 unit coefficient (1.0 -> 7.3 on the tiny
+  // test graph) and costs held-out friendship AUC.
+  std::array<bool, kNumDiffusionWeights> free{};
+  free[kWeightPopularity] = config_.ablation.topic_factor;
+  for (int k = 0; k < kNumUserFeatures; ++k) {
+    free[static_cast<size_t>(kWeightFeature0 + k)] =
+        config_.ablation.individual_factor;
   }
+  free[kWeightBias] = true;
+  stats_.newton_steps += FitDiffusionWeights(
+      x, num_pos, free, config_.nu_l2, config_.nu_iterations,
+      std::span<double, kNumDiffusionWeights>(s.weights),
+      [this](size_t count, const std::function<void(size_t, size_t)>& fn) {
+        ForEachExampleRange(count, fn);
+      });
 }
 
 void EmTrainer::MStep() {

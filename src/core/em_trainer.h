@@ -9,8 +9,9 @@
 /// the returned CounterDeltas together, applies them to the master, and
 /// runs the Polya-Gamma augmentation over disjoint link ranges. The M-step
 /// re-estimates eta from the merged assignments and fits the factor weights
-/// by logistic regression with negative sampling; its per-example work runs
-/// on the same executor, one example range per shard.
+/// by logistic regression with negative sampling, solved by Newton's method
+/// (logistic_fit.h); its per-example work runs on the same executor, one
+/// example range per shard.
 
 #include <cstdint>
 #include <functional>
@@ -34,6 +35,8 @@ struct TrainStats {
   double e_step_seconds = 0.0;
   double m_step_seconds = 0.0;
   double total_seconds = 0.0;
+  /// Newton steps the M-step's weight fits took, summed over M-steps.
+  int64_t newton_steps = 0;
   /// Snapshot/delta E-step diagnostics: seconds capturing snapshots,
   /// seconds applying CounterDeltas, and the delta volume (documents that
   /// moved, nonzero sparse counter diffs — summed per shard) merged so far.

@@ -91,8 +91,10 @@ struct CpdConfig {
 
   int em_iterations = 15;          ///< T1, outer variational-EM iterations.
   int gibbs_sweeps_per_em = 3;     ///< Collapsed-Gibbs sweeps per E-step.
-  int nu_iterations = 60;          ///< T2, gradient steps for nu per M-step.
-  double nu_learning_rate = 0.1;
+  /// Cap on the M-step's Newton steps for the factor weights (the paper's
+  /// T2 counts gradient steps; Newton reaches the same maximum in a few).
+  /// The fit stops earlier once no weight moves by 1e-8; 0 skips it.
+  int nu_iterations = 60;
   double nu_l2 = 1e-4;             ///< L2 regularization for nu.
   double eta_smoothing = 1e-3;     ///< Additive smoothing for eta aggregation.
 
@@ -179,9 +181,6 @@ struct CpdConfig {
     if (nu_iterations < 0) return Status::InvalidArgument("nu_iterations < 0");
     if (mh_steps < 1) return Status::InvalidArgument("mh_steps < 1");
     if (num_shards < 0) return Status::InvalidArgument("num_shards < 0");
-    if (nu_learning_rate <= 0.0) {
-      return Status::InvalidArgument("nu_learning_rate <= 0");
-    }
     if (num_threads < 1) return Status::InvalidArgument("num_threads < 1");
     return Status::OK();
   }
