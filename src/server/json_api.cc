@@ -158,7 +158,8 @@ constexpr char kBatchQueriesFamily[] = "cpd_service_batch_queries_total";
 constexpr char kBatchQueriesHelp[] =
     "Requests answered inside client batches, per model.";
 constexpr char kQueryErrorsFamily[] = "cpd_service_query_errors_total";
-constexpr char kQueryErrorsHelp[] = "Typed per-query failures, per model.";
+constexpr char kQueryErrorsHelp[] =
+    "Queries and batch slots answered with an error, per addressed model.";
 
 }  // namespace
 
@@ -485,15 +486,20 @@ HttpResponse HandleQuery(const HttpRequest& http_request,
   const std::string name = ModelNameFromRequest(http_request);
   const std::shared_ptr<const ServingModel> model = registry->Snapshot(name);
   if (model == nullptr) return NoModelResponse(name);
+  // Every error past this point is counted against the addressed model.
+  const auto query_error = [&](const Status& status) {
+    stats->CountQueryError(name);
+    return ErrorResponse(status);
+  };
   const int64_t parse_start_us = obs::NowMicros();
   auto json = Json::Parse(http_request.body);
-  if (!json.ok()) return ErrorResponse(json.status());
+  if (!json.ok()) return query_error(json.status());
   const Vocabulary* vocab = model->vocabulary.get();
 
   const Json* batch = json->is_object() ? json->Find("batch") : nullptr;
   if (batch != nullptr) {
     if (!batch->is_array()) {
-      return ErrorResponse(
+      return query_error(
           Status::InvalidArgument("field 'batch' must be an array"));
     }
     Json responses = Json::MakeArray();
@@ -525,19 +531,13 @@ HttpResponse HandleQuery(const HttpRequest& http_request,
   }
 
   auto request = QueryRequestFromJson(*json, vocab);
-  if (!request.ok()) {
-    stats->CountQueryError(name);
-    return ErrorResponse(request.status());
-  }
+  if (!request.ok()) return query_error(request.status());
   const size_t type = request->index();
   const int64_t parsed_us = obs::NowMicros();
   // The latency sample covers the scoring path a client waits on, not JSON
   // encode/decode.
   auto response = model->engine->Query(*request);
-  if (!response.ok()) {
-    stats->CountQueryError(name);
-    return ErrorResponse(response.status());
-  }
+  if (!response.ok()) return query_error(response.status());
   const int64_t scored_us = obs::NowMicros();
   stats->CountQuery(name);
   stats->RecordLatency(type, static_cast<double>(scored_us - parsed_us));
@@ -582,15 +582,20 @@ HttpResponse HandleMembershipGet(const HttpRequest& http_request,
   const std::string name = ModelNameFromRequest(http_request);
   const std::shared_ptr<const ServingModel> model = registry->Snapshot(name);
   if (model == nullptr) return NoModelResponse(name);
+  // Every error past this point is counted against the addressed model.
+  const auto query_error = [&](const Status& status) {
+    stats->CountQueryError(name);
+    return ErrorResponse(status);
+  };
   serve::MembershipRequest request;
   auto user = ParseWireInt(http_request.path_params.at("user"),
                            "user path segment");
-  if (!user.ok()) return ErrorResponse(user.status());
+  if (!user.ok()) return query_error(user.status());
   request.user = *user;
   const auto k = http_request.query.find("k");
   if (k != http_request.query.end()) {
     auto top_k = ParseWireInt(k->second, "query parameter 'k'");
-    if (!top_k.ok()) return ErrorResponse(top_k.status());
+    if (!top_k.ok()) return query_error(top_k.status());
     request.top_k = *top_k;
   }
   const auto distribution = http_request.query.find("distribution");
@@ -599,10 +604,7 @@ HttpResponse HandleMembershipGet(const HttpRequest& http_request,
   constexpr size_t kType = 0;  // MembershipRequest's variant index.
   const int64_t parsed_us = obs::NowMicros();
   auto response = model->engine->Membership(request);
-  if (!response.ok()) {
-    stats->CountQueryError(name);
-    return ErrorResponse(response.status());
-  }
+  if (!response.ok()) return query_error(response.status());
   const int64_t scored_us = obs::NowMicros();
   stats->CountQuery(name);
   stats->RecordLatency(kType, static_cast<double>(scored_us - parsed_us));

@@ -128,7 +128,8 @@ class ServiceStats {
   // ----- statsz aggregate reads (wire field names unchanged) -----
   uint64_t queries() const;        ///< Single queries answered OK.
   uint64_t batch_queries() const;  ///< Requests answered OK in batches.
-  uint64_t query_errors() const;   ///< Typed per-query failures.
+  /// Queries and batch slots answered with an error by a loaded model.
+  uint64_t query_errors() const;
   uint64_t ingests() const;        ///< Batches applied + swapped.
   uint64_t ingest_failures() const;
   uint64_t ingested_documents() const;

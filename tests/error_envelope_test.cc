@@ -329,5 +329,71 @@ TEST_F(ErrorEnvelopeTest, FramingErrorsUseTheEnvelope) {
   server.Stop();
 }
 
+// Client errors that are rejected before a query is decoded (an unparseable
+// body, a non-array batch, a bad path segment or `k`) count against the
+// model they address, in /statsz and in /metricsz alike. A request for a
+// model that is not loaded stays uncounted.
+TEST_F(ErrorEnvelopeTest, ClientErrorsCountAgainstTheAddressedModel) {
+  server::ModelRegistry registry(serve::ProfileIndexOptions{}, nullptr);
+  ASSERT_TRUE(registry.LoadFrom(*artifact_).ok());
+  ASSERT_TRUE(registry.LoadFrom("beta", *artifact_).ok());
+  HttpServerOptions options;
+  options.port = 0;
+  options.threads = 2;
+  options.log_requests = false;
+  HttpServer server(options);
+  server::ServiceStats stats;
+  server::RegisterCpdRoutes(&server, &registry, &stats);
+  ASSERT_TRUE(server.Start().ok());
+
+  struct Case {
+    const char* method;
+    const char* target;
+    const char* body;
+    int status;
+  };
+  const std::vector<Case> cases = {
+      {"POST", "/v1/query", "junk", 400},
+      {"POST", "/v1/query", R"({"batch":3})", 400},
+      {"GET", "/v1/membership/notanumber", "", 400},
+      {"GET", "/v1/membership/3?k=abc", "", 400},
+      {"POST", "/v1/models/beta/query", "junk", 400},
+      {"GET", "/v1/models/beta/membership/3?k=9999999999", "", 400},
+      {"POST", "/v1/models/ghost/query", "junk", 503},
+      {"GET", "/v1/models/ghost/membership/notanumber", "", 503},
+  };
+  auto client = HttpClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok());
+  for (const Case& test_case : cases) {
+    auto response =
+        client->RoundTrip(test_case.method, test_case.target, test_case.body);
+    ASSERT_TRUE(response.ok()) << test_case.target;
+    EXPECT_EQ(response->status, test_case.status) << test_case.target;
+  }
+
+  auto statsz_response = client->RoundTrip("GET", "/statsz");
+  ASSERT_TRUE(statsz_response.ok());
+  auto statsz = Json::Parse(statsz_response->body);
+  ASSERT_TRUE(statsz.ok());
+  EXPECT_EQ(statsz->Find("service")->Find("query_errors")->number(), 6.0);
+  const Json* models = statsz->Find("models");
+  ASSERT_NE(models, nullptr);
+  EXPECT_EQ(models->Find("default")->Find("query_errors")->number(), 4.0);
+  EXPECT_EQ(models->Find("beta")->Find("query_errors")->number(), 2.0);
+  EXPECT_EQ(models->Find("ghost"), nullptr);
+
+  auto metricsz = client->RoundTrip("GET", "/metricsz");
+  ASSERT_TRUE(metricsz.ok());
+  const std::string& text = metricsz->body;
+  EXPECT_NE(text.find("cpd_service_query_errors_total{model=\"default\"} 4\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cpd_service_query_errors_total{model=\"beta\"} 2\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("model=\"ghost\""), std::string::npos) << text;
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace cpd
