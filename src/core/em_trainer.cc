@@ -433,15 +433,15 @@ void EmTrainer::TrainDiffusionWeights(Rng* rng) {
   // gradient steps never moved it by more than 1%, while solving for it
   // drives it far from the Eq. 5 unit coefficient (1.0 -> 7.3 on the tiny
   // test graph) and costs held-out friendship AUC.
-  std::array<bool, kNumDiffusionWeights> free{};
-  free[kWeightPopularity] = config_.ablation.topic_factor;
+  std::array<bool, kNumDiffusionWeights> is_free{};
+  is_free[kWeightPopularity] = config_.ablation.topic_factor;
   for (int k = 0; k < kNumUserFeatures; ++k) {
-    free[static_cast<size_t>(kWeightFeature0 + k)] =
+    is_free[static_cast<size_t>(kWeightFeature0 + k)] =
         config_.ablation.individual_factor;
   }
-  free[kWeightBias] = true;
-  stats_.newton_steps += FitDiffusionWeights(
-      x, num_pos, free, config_.nu_l2, config_.nu_iterations,
+  is_free[kWeightBias] = true;
+  FitDiffusionWeights(
+      x, num_pos, is_free, config_.nu_l2, config_.nu_iterations,
       std::span<double, kNumDiffusionWeights>(s.weights),
       [this](size_t count, const std::function<void(size_t, size_t)>& fn) {
         ForEachExampleRange(count, fn);

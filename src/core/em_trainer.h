@@ -35,8 +35,6 @@ struct TrainStats {
   double e_step_seconds = 0.0;
   double m_step_seconds = 0.0;
   double total_seconds = 0.0;
-  /// Newton steps the M-step's weight fits took, summed over M-steps.
-  int64_t newton_steps = 0;
   /// Snapshot/delta E-step diagnostics: seconds capturing snapshots,
   /// seconds applying CounterDeltas, and the delta volume (documents that
   /// moved, nonzero sparse counter diffs — summed per shard) merged so far.

@@ -13,6 +13,9 @@ namespace {
 
 constexpr int kW = kNumDiffusionWeights;
 
+// The fit stops once no free weight moves by this much in a step.
+constexpr double kNewtonTolerance = 1e-8;
+
 // sigma[i] = Sigmoid(w . x_i) over [begin, end) of the column-major design
 // matrix. The k loop is expanded at compile time so the dot stays in
 // registers; it runs over k in order.
@@ -60,7 +63,7 @@ bool CholeskySolve(double* h, double* g, int m) {
 }  // namespace
 
 int FitDiffusionWeights(std::span<const double> x, size_t num_pos,
-                        const std::array<bool, kNumDiffusionWeights>& free,
+                        const std::array<bool, kNumDiffusionWeights>& is_free,
                         double l2, int max_steps,
                         std::span<double, kNumDiffusionWeights> weights,
                         const ExampleRangeRunner& run) {
@@ -68,7 +71,7 @@ int FitDiffusionWeights(std::span<const double> x, size_t num_pos,
   int index[kW];  // The free coordinates, in order.
   int m = 0;
   for (int k = 0; k < kW; ++k) {
-    if (free[static_cast<size_t>(k)]) index[m++] = k;
+    if (is_free[static_cast<size_t>(k)]) index[m++] = k;
   }
   if (n == 0 || m == 0) return 0;
   const double* columns[kW];

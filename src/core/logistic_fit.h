@@ -15,9 +15,6 @@
 
 namespace cpd {
 
-/// The Newton fit stops once no free weight moves by this much in a step.
-inline constexpr double kNewtonTolerance = 1e-8;
-
 /// Runs fn(begin, end) over ranges that partition [0, n), in any order and
 /// possibly in parallel (EmTrainer passes its executor's shards).
 using ExampleRangeRunner = std::function<void(
@@ -26,7 +23,7 @@ using ExampleRangeRunner = std::function<void(
 /// Maximizes the regularized log-likelihood
 ///   (1/n) sum_i [y_i log s_i + (1 - y_i) log(1 - s_i)]
 ///     - (l2 / 2) sum_{k free} w_k^2,        s_i = sigmoid(w . x_i),
-/// over the coordinates with free[k] set, starting from and writing back
+/// over the coordinates with is_free[k] set, starting from and writing back
 /// `weights`; the other coordinates keep their bits. `x` is column-major,
 /// x[k * n + i] = feature k of example i, and examples [0, num_pos) are the
 /// positives (label 1), the rest the negatives (label 0).
@@ -35,12 +32,12 @@ using ExampleRangeRunner = std::function<void(
 /// gradient and the lower triangle of  sum_i s_i (1 - s_i) x_i x_i^T / n +
 /// l2 I  sequentially in example order, then takes the Cholesky solve of
 /// that system as the step. So the result does not depend on how `run`
-/// splits the examples. Stops when max |step| < kNewtonTolerance, after
+/// splits the examples. Stops when max |step| < 1e-8, after
 /// `max_steps` steps, or when the system is not numerically positive
 /// definite or the step is not finite (that step is not applied). Returns
 /// the number of steps applied.
 int FitDiffusionWeights(std::span<const double> x, size_t num_pos,
-                        const std::array<bool, kNumDiffusionWeights>& free,
+                        const std::array<bool, kNumDiffusionWeights>& is_free,
                         double l2, int max_steps,
                         std::span<double, kNumDiffusionWeights> weights,
                         const ExampleRangeRunner& run);

@@ -251,17 +251,6 @@ TEST(EmTrainerTest, MStepPinnedCoordinatesKeepTheirBitsAcrossExecutors) {
   }
 }
 
-TEST(EmTrainerTest, NewtonMStepConvergesInFewSteps) {
-  const SynthResult data = testing::MakeTinyGraph(42);
-  CpdConfig config = TrainerConfig();
-  EmTrainer trainer(data.graph, config);
-  ASSERT_TRUE(trainer.Train().ok());
-  // One fit per EM iteration, each well under its nu_iterations cap.
-  EXPECT_GE(trainer.stats().newton_steps, config.em_iterations);
-  EXPECT_LE(trainer.stats().newton_steps, 8 * config.em_iterations);
-  EXPECT_EQ(trainer.state().weights[kWeightEta], 1.0);
-}
-
 // A fixed design matrix for FitDiffusionWeights: labels drawn from a known
 // logistic model, with the production column scales (a ~1e-2 eta score, a
 // popularity fraction, four log-ratio features and the bias).
